@@ -15,6 +15,7 @@
 #include "benchsupport/report.hpp"
 #include "benchsupport/table.hpp"
 #include "coll/communicator.hpp"
+#include "util/timing.hpp"
 
 using namespace photon;
 using benchsupport::bench_fabric;
@@ -80,17 +81,28 @@ double photon_iter_us(std::size_t nx) {
           throw std::runtime_error("halo put failed");
         ++expected;
       }
+      // A neighbour that finished early may already have rung the closing
+      // barrier: leave collective ids queued for comm.barrier().
+      util::Deadline dl(kWait);
+      std::uint32_t spins = 0;
       while (arrived[it] < expected) {
-        core::ProbeEvent ev;
-        if (ph.wait_event(ev, kWait) != Status::Ok)
+        if (auto ev = ph.probe_event_unmasked(coll::Communicator::kCollBit)) {
+          ++arrived[static_cast<int>(ev->id >> 8)];
+          spins = 0;
+        } else if (dl.expired()) {
           throw std::runtime_error("halo wait failed");
-        ++arrived[static_cast<int>(ev.id >> 8)];
+        } else {
+          ph.idle_wait_step(spins);
+        }
       }
       arrived.erase(it);
       env.clock().add(4 * nx * 2);              // unpack
       env.clock().add(nx * nx * kComputePerCellNs);  // sweep
     }
     comm.barrier();
+    // A rank leaves the barrier before its last doorbell is popped; keep
+    // every Photon alive until all of them are.
+    env.bootstrap.barrier(env.rank);
   });
   return static_cast<double>(vt) / kIters / 1e3;
 }

@@ -5,8 +5,8 @@
 // spin polls both CQs, and blocking waits read min_vtime() to decide how
 // far to jump. The seed implementation was a flat deque with linear scans,
 // so an empty poll and every poll_min cost O(n) in queue depth; the current
-// implementation is a (vtime, seq) min-heap with a ready FIFO and a cached
-// minimum. To keep the speedup measurable forever, this bench carries a
+// implementation drains lock-free producer lanes into a (vtime, ticket)
+// min-heap with a ready FIFO. To keep the speedup measurable forever, this bench carries a
 // verbatim copy of the seed structure (`LegacyCq` below) and reports both
 // series side by side.
 //

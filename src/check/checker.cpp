@@ -820,11 +820,30 @@ void Checker::on_local_id_popped(fabric::Rank initiator, std::uint64_t id) {
   maybe_retire(serial);
 }
 
-void Checker::on_remote_id_popped(fabric::Rank target, std::uint64_t id) {
+std::optional<std::uint64_t> Checker::take_remote_id(fabric::Rank target,
+                                                     fabric::Rank initiator,
+                                                     std::uint64_t id) {
+  // Oldest first: ledger slots and ring entries deliver FIFO per initiator,
+  // and equal keys in a multimap preserve insertion order. Another rank's
+  // post of the same id — possibly not on the wire yet, or about to be
+  // aborted and retried — must never absorb this delivery.
+  auto [first, last] = remote_ids_.equal_range({target, id});
+  for (auto it = first; it != last; ++it) {
+    auto oit = ops_.find(it->second);
+    if (oit != ops_.end() && oit->second.info.initiator != initiator) continue;
+    const std::uint64_t serial = it->second;
+    remote_ids_.erase(it);
+    return serial;
+  }
+  return std::nullopt;
+}
+
+void Checker::on_remote_id_popped(fabric::Rank target, fabric::Rank initiator,
+                                  std::uint64_t id) {
   if (!enabled()) return;
   util::LockGuard lock(mutex_);
-  auto [first, last] = remote_ids_.equal_range({target, id});
-  if (first == last) {
+  const std::optional<std::uint64_t> taken = take_remote_id(target, initiator, id);
+  if (!taken) {
     Violation v;
     v.kind = ViolationKind::kIdHygiene;
     v.op.kind = CheckOpKind::kSignal;
@@ -833,16 +852,13 @@ void Checker::on_remote_id_popped(fabric::Rank target, std::uint64_t id) {
     v.op.has_remote_id = true;
     v.op.remote_id = id;
     std::ostringstream os;
-    os << "remote id " << id << " delivered on rank" << target
-       << " with no matching outstanding post";
+    os << "remote id " << id << " delivered on rank" << target << " from rank"
+       << initiator << " with no matching outstanding post";
     v.message = os.str();
     report(std::move(v));
     return;
   }
-  // Oldest first: ledger slots and ring entries deliver FIFO per peer, and
-  // equal keys in a multimap preserve insertion order.
-  const std::uint64_t serial = first->second;
-  remote_ids_.erase(first);
+  const std::uint64_t serial = *taken;
   auto oit = ops_.find(serial);
   if (oit == ops_.end()) return;
   oit->second.wait_remote = false;
@@ -902,13 +918,13 @@ void Checker::on_op_error(std::uint64_t serial, bool remote_id_sent) {
   maybe_retire(serial);
 }
 
-void Checker::on_remote_id_lost(fabric::Rank target, std::uint64_t id) {
+void Checker::on_remote_id_lost(fabric::Rank target, fabric::Rank initiator,
+                                std::uint64_t id) {
   if (!enabled()) return;
   util::LockGuard lock(mutex_);
-  auto [first, last] = remote_ids_.equal_range({target, id});
-  if (first == last) return;
-  const std::uint64_t serial = first->second;
-  remote_ids_.erase(first);
+  const std::optional<std::uint64_t> taken = take_remote_id(target, initiator, id);
+  if (!taken) return;
+  const std::uint64_t serial = *taken;
   auto oit = ops_.find(serial);
   if (oit == ops_.end()) return;
   oit->second.wait_remote = false;

@@ -128,14 +128,18 @@ class Checker {
 
   // ---- completion-side events ----------------------------------------------
   void on_local_id_popped(fabric::Rank initiator, std::uint64_t id);
-  void on_remote_id_popped(fabric::Rank target, std::uint64_t id);
+  /// `initiator` is the rank that posted the delivered id.
+  void on_remote_id_popped(fabric::Rank target, fabric::Rank initiator,
+                           std::uint64_t id);
   void on_request_done(fabric::Rank owner, RequestNs ns, std::uint64_t request);
   /// Async error completion for a recorded op. `remote_id_sent`: the remote
   /// id doorbell was posted separately and may still be delivered (direct
   /// put), so its outstanding entry must survive the cleanup.
   void on_op_error(std::uint64_t serial, bool remote_id_sent);
-  /// A deferred remote-id deposit was dropped (peer failure); forget it.
-  void on_remote_id_lost(fabric::Rank target, std::uint64_t id);
+  /// A remote-id deposit `initiator` made or deferred toward `target` was
+  /// dropped (peer failure, discarded residue); forget it.
+  void on_remote_id_lost(fabric::Rank target, fabric::Rank initiator,
+                         std::uint64_t id);
   /// The initiator latched its connection to `peer` dead (verbs QP error):
   /// silently drop every outstanding op initiator->peer — their completions
   /// will never arrive, and that is expected, not a protocol violation.
@@ -242,6 +246,12 @@ class Checker {
   void fire_anchor(OpState& st, Anchor which) REQUIRES(mutex_);
   void maybe_retire(std::uint64_t serial) REQUIRES(mutex_);
   void drop_op(std::uint64_t serial) REQUIRES(mutex_);
+  /// Unlink and return the oldest outstanding (target, id) entry posted by
+  /// `initiator`, if any.
+  std::optional<std::uint64_t> take_remote_id(fabric::Rank target,
+                                              fabric::Rank initiator,
+                                              std::uint64_t id)
+      REQUIRES(mutex_);
 
   // ---- race mode helpers (all REQUIRES(mutex_)) ----------------------------
   /// Stamp a committed wire op with its stream/index/knowledge snapshot and,
@@ -280,8 +290,9 @@ class Checker {
   std::map<std::pair<fabric::Rank, std::uint64_t>, std::uint64_t> local_ids_
       GUARDED_BY(mutex_);
   /// (target, remote_id) -> serials, FIFO. Multiple outstanding ops may
-  /// legally share a remote id (parcels reuse handler ids); pops release the
-  /// oldest, matching ledger/ring delivery order.
+  /// legally share a remote id (parcels reuse handler ids, and every rank
+  /// picks its ids alone); a pop releases the delivering initiator's
+  /// oldest, matching its ledger/ring delivery order.
   std::multimap<std::pair<fabric::Rank, std::uint64_t>, std::uint64_t>
       remote_ids_ GUARDED_BY(mutex_);
   /// (owner, ns, request) -> serial.

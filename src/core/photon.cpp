@@ -485,7 +485,7 @@ Status Photon::try_put_with_completion(Rank dst, LocalSlice src,
       // loudly — this indicates a headroom accounting bug.
       log::error("photon: pwc doorbell failed after payload: ",
                  status_name(sig));
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(dst, *remote_id));
+      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(dst, rank(), *remote_id));
       return Status::ProtocolError;
     }
   }
@@ -758,7 +758,7 @@ Status Photon::try_put_u64(Rank dst, RemoteSlice cell, std::uint64_t value,
     if (sig != Status::Ok) {
       log::error("photon: put_u64 doorbell failed after payload: ",
                  status_name(sig));
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(dst, *remote_id));
+      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(dst, rank(), *remote_id));
       return Status::ProtocolError;
     }
   }
@@ -984,7 +984,7 @@ void Photon::on_peer_down(Rank r) {
     --deferred_pending_[r];
     ++stats_.op_errors;
     error_q_.push_back(Status::PeerUnreachable);
-    PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(r, it->id));
+    PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(r, rank(), it->id));
     it = deferred_.erase(it);
   }
   // Adverts received *from* the dead peer describe windows nobody will FIN;
@@ -1067,7 +1067,7 @@ void Photon::flush_deferred() {
       if (st != Status::Ok) {
         ++stats_.op_errors;
         error_q_.push_back(st);
-        PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(d.dst, d.id));
+        PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(d.dst, rank(), d.id));
       }
     }
   }
@@ -1200,7 +1200,7 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
         } else if (st != Status::Ok) {
           error_q_.push_back(st);
           PHOTON_CHECK_HOOK(
-              nic_.checker().on_remote_id_lost(rec.peer, rec.remote_id));
+              nic_.checker().on_remote_id_lost(rec.peer, rank(), rec.remote_id));
         }
       }
       break;
@@ -1427,7 +1427,7 @@ std::optional<ProbeEvent> Photon::probe_event() {
   if (event_q_.empty()) return std::nullopt;
   ProbeEvent out = std::move(event_q_.front());
   event_q_.pop_front();
-  PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.id));
+  PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
   return out;
 }
 
@@ -1437,7 +1437,7 @@ std::optional<ProbeEvent> Photon::probe_event_unmasked(std::uint64_t mask) {
     if ((it->id & mask) != 0) continue;  // addressed to a layered dispatcher
     ProbeEvent out = std::move(*it);
     event_q_.erase(it);
-    PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.id));
+    PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
     return out;
   }
   return std::nullopt;
@@ -1449,7 +1449,7 @@ std::size_t Photon::discard_events_from(
   std::size_t discarded = 0;
   for (auto it = event_q_.begin(); it != event_q_.end();) {
     if (it->peer == peer && (keep == nullptr || !keep(*it))) {
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(rank(), it->id));
+      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(rank(), it->peer, it->id));
       it = event_q_.erase(it);
       ++discarded;
     } else {
@@ -1465,7 +1465,7 @@ std::optional<ProbeEvent> Photon::take_event(Rank peer, std::uint64_t id) {
     if (it->peer == peer && it->id == id) {
       ProbeEvent out = std::move(*it);
       event_q_.erase(it);
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.id));
+      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
       return out;
     }
   }
@@ -1478,7 +1478,7 @@ std::optional<ProbeEvent> Photon::probe_event_from(Rank peer) {
     if (it->peer == peer) {
       ProbeEvent out = std::move(*it);
       event_q_.erase(it);
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.id));
+      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
       return out;
     }
   }

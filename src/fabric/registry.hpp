@@ -1,11 +1,23 @@
 // Per-NIC memory-registration table with lkey/rkey validation.
 //
-// Locking: registrations happen at setup time; lookups happen on every data
-// path op and may be issued by *remote* rank threads (a put validates the
-// target's rkey in the initiating thread). A shared_mutex keeps lookups
-// concurrent and registration safe.
+// Locking: registrations happen at setup time and around rendezvous
+// transfers; lookups happen on every data path op and may be issued by
+// *remote* rank threads (a put validates the target's rkey in the initiating
+// thread). Registration and deregistration take the writer side of a
+// shared_mutex and move the registry to a fresh registration generation,
+// drawn from a process-wide counter so that no two registry states — even of
+// registries that reuse one address — ever share a value.
+//
+// Lookups are lock-free when they hit: every thread keeps a small
+// direct-mapped cache of (registry, generation, key) -> region, and a hit is
+// one acquire load of the generation plus the bounds and access checks. A
+// miss (first use of a key by a thread, or any lookup after a registration
+// changed the generation) reads the table under the shared lock and refills
+// the entry. A region deregistered before a lookup is never found, cached or
+// not: the deregistration already moved the generation.
 #pragma once
 
+#include <atomic>
 #include <unordered_map>
 
 #include "fabric/memory_region.hpp"
@@ -20,6 +32,8 @@ namespace photon::fabric {
 
 class MemoryRegistry {
  public:
+  MemoryRegistry();
+
   /// Attach the fabric's shadow-state validator; registrations and
   /// deregistrations are mirrored into its region table. `owner` is the rank
   /// this registry belongs to.
@@ -47,10 +61,16 @@ class MemoryRegistry {
   std::size_t count() const;
 
  private:
+  /// The region registered under `key` (an lkey, or an rkey when `remote`),
+  /// from the calling thread's cache when the generation still matches.
+  bool lookup(MrKey key, bool remote, MemoryRegion& out) const;
+
   mutable util::SharedMutex mutex_;
   std::unordered_map<MrKey, MemoryRegion> by_lkey_ GUARDED_BY(mutex_);
   std::unordered_map<MrKey, MrKey> rkey_to_lkey_ GUARDED_BY(mutex_);
   MrKey next_key_ GUARDED_BY(mutex_) = 1;
+  /// Changes (under the writer lock) whenever the table does.
+  std::atomic<std::uint64_t> generation_;
   /// Set once at NIC construction, before any concurrent use.
   check::Checker* checker_ = nullptr;
   Rank owner_ = 0;

@@ -23,7 +23,8 @@ class VClock {
   // relaxed-ok (whole class): one rank thread owns and advances its clock;
   // the atomic exists so other threads (telemetry, the checker, CQ
   // comparators) can read a torn-free snapshot. No data is published through
-  // the clock value itself — cross-rank time ordering rides on the CQ mutex.
+  // the clock value itself — cross-rank time ordering rides on the CQ's
+  // lane publish.
   std::uint64_t now() const noexcept { return now_.load(std::memory_order_relaxed); }
 
   /// Charge local work (CPU overhead, compute phases).

@@ -13,17 +13,17 @@
 //   1. runtime::Exchanger::mutex_      bootstrap only, never on a data path
 //   2. check::Checker::mutex_          may take 3 (log) via report()
 //   3. log g_mutex                     leaf
-//   .  fabric::CompletionQueue::mutex_ leaf (push/poll never call out)
 //   .  fabric::Nic::rx_mutex_          leaf (delivery runs under it but only
-//                                      pushes the recv CQ, a distinct leaf)
-//   .  fabric::MemoryRegistry::mutex_  leaf; checker hooks run OUTSIDE it
+//                                      pushes the recv CQ, which is lock-free)
+//   .  fabric::MemoryRegistry::mutex_  leaf; checker hooks run OUTSIDE it;
+//                                      lookups take it only on a cache miss
 //   .  fabric::FaultInjector::mutex_   leaf
 //   .  telemetry::MetricsRegistry::mu_ leaf (metric hot paths are lock-free)
 //   .  util::SyncQueue::mutex_         leaf
 //
 // Unordered leaves may never be held simultaneously by one thread; the only
-// sanctioned nestings are 1->*, 2->3, and Nic::rx_mutex_ -> CQ::mutex_
-// (recv delivery pushing a completion). DESIGN.md §11 has the full model.
+// sanctioned nestings are 1->* and 2->3. fabric::CompletionQueue has no lock.
+// DESIGN.md §11 has the full model.
 #pragma once
 
 #if defined(__clang__) && !defined(SWIG)

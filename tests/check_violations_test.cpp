@@ -278,7 +278,7 @@ TEST(PhotonCheckViolations, IdHygieneFiresOnceOnOrphanRemoteId) {
     if (!arm_collect(ck)) GTEST_SKIP() << "checker disabled via PHOTON_CHECK";
     // A doorbell with no recorded post can only come from protocol-layer
     // corruption, so drive the completion-delivery hook directly.
-    ck.on_remote_id_popped(/*target=*/0, /*id=*/77);
+    ck.on_remote_id_popped(/*target=*/0, /*initiator=*/0, /*id=*/77);
     auto v = ck.take_violations();
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0].kind, ViolationKind::kIdHygiene);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -245,6 +246,40 @@ TEST_F(NicTest, SendRecvFifoAcrossParking) {
     ASSERT_EQ(b.poll_recv(rc), Status::Ok);
     EXPECT_EQ(rc.imm, i);  // arrival order preserved
     EXPECT_EQ(rc.wr_id, 100 + i);
+  }
+}
+
+// A matched receive's completion must not become visible before its
+// payload: the receiver may read the buffer the moment it pops the event.
+// The send runs on its own thread (as rank 0's would) and is large, so a
+// completion published ahead of the copy is caught with the tail unwritten.
+TEST_F(NicTest, RecvCompletionPublishedOnlyAfterPayloadLands) {
+  constexpr std::size_t kLen = 512 * 1024;
+  constexpr std::byte kTail{0xA5};
+  std::vector<std::byte> sbuf = pattern(kLen);
+  sbuf.back() = kTail;
+  std::vector<std::byte> rbuf(kLen);
+  auto ms = a.registry().register_memory(sbuf.data(), sbuf.size(), kAccessAll);
+  auto mr = b.registry().register_memory(rbuf.data(), rbuf.size(), kAccessAll);
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    std::fill(rbuf.begin(), rbuf.end(), std::byte{0});
+    ASSERT_EQ(b.post_recv({rbuf.data(), rbuf.size(), mr.value().lkey}, round),
+              Status::Ok);
+    std::thread sender([&] {
+      EXPECT_EQ(a.post_send(1, {sbuf.data(), kLen, ms.value().lkey}, round,
+                            round, /*signaled=*/false),
+                Status::Ok);
+    });
+    Completion rc;
+    while (b.jump_recv(rc) != Status::Ok) {
+    }
+    const std::byte tail = rbuf.back();  // read before anything else
+    sender.join();
+    ASSERT_EQ(rc.op, OpCode::Recv);
+    ASSERT_EQ(rc.byte_len, kLen);
+    ASSERT_EQ(tail, kTail) << "recv completion surfaced before its payload "
+                              "(round " << round << ")";
+    EXPECT_EQ(std::memcmp(rbuf.data(), sbuf.data(), kLen), 0);
   }
 }
 

@@ -51,6 +51,10 @@ HOT_PATH_FILES = {
     "src/util/spsc_ring.hpp",
     "src/fabric/vclock.hpp",
     "src/fabric/counters.hpp",
+    # Every put, put-imm, signal and poll crosses ranks through the CQ's
+    # producer lanes; a blocking primitive here is a lock on the data path.
+    "src/fabric/completion_queue.hpp",
+    "src/fabric/completion_queue.cpp",
     "src/resilience/peer_health.hpp",
     # DDS fast paths: per-op telemetry + the RMA probe/ticket/handoff loops
     # run on every structure op; blocking primitives here would serialize

@@ -786,7 +786,7 @@ Status Photon::try_get_u64(Rank src_rank, RemoteSlice cell,
 
 util::Result<std::uint64_t> Photon::await_internal(std::uint64_t id,
                                                    std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
+  util::LazyDeadline dl(timeout_ns);
   std::uint32_t spins = 0;
   for (;;) {
     if (auto c = take_local(id)) {
@@ -828,7 +828,7 @@ void Photon::idle_wait_step(std::uint32_t& spins) {
 namespace {
 template <typename Fn>
 Status run_blocking(Photon& p, Fn&& try_once, std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
+  util::LazyDeadline dl(timeout_ns);
   std::uint32_t spins = 0;
   for (;;) {
     const Status st = try_once();
@@ -1624,64 +1624,54 @@ util::Result<RequestId> Photon::post_send_buffer_rq(Rank peer,
   return rq;
 }
 
-namespace {
-std::optional<RendezvousBuffer> take_matching(
-    std::deque<RendezvousBuffer>& q, bool get_side) {
-  for (auto it = q.begin(); it != q.end(); ++it) {
-    if (it->get_side == get_side) {
-      RendezvousBuffer rb = *it;
-      q.erase(it);
+std::optional<RendezvousBuffer> Photon::take_advert(Rank peer, std::uint64_t tag,
+                                                    bool get_side) {
+  // Take the first advert of the wanted side from one (peer, tag) queue,
+  // dropping the queue once it is empty so unique tags leave nothing behind.
+  auto take = [&](auto it) -> std::optional<RendezvousBuffer> {
+    auto& q = it->second;
+    for (auto a = q.begin(); a != q.end(); ++a) {
+      if (a->get_side != get_side) continue;
+      const RendezvousBuffer rb = *a;
+      q.erase(a);
+      if (q.empty()) adverts_.erase(it);
       return rb;
     }
+    return std::nullopt;
+  };
+  if (tag != kAnyTag) {
+    auto it = adverts_.find({peer, tag});
+    return it != adverts_.end() ? take(it) : std::nullopt;
+  }
+  for (auto it = adverts_.begin(); it != adverts_.end(); ++it) {
+    if (it->first.peer != peer) continue;
+    if (auto rb = take(it)) return rb;
   }
   return std::nullopt;
 }
-}  // namespace
 
-util::Result<RendezvousBuffer> Photon::wait_send_rq(Rank peer, std::uint64_t tag,
-                                                    std::uint64_t timeout_ns) {
+util::Result<RendezvousBuffer> Photon::wait_advert(Rank peer, std::uint64_t tag,
+                                                   bool get_side,
+                                                   std::uint64_t timeout_ns) {
   util::Deadline dl(timeout_ns);
   std::uint32_t spins = 0;
   for (;;) {
     progress();
-    if (tag != kAnyTag) {
-      auto it = adverts_.find({peer, tag});
-      if (it != adverts_.end()) {
-        if (auto rb = take_matching(it->second, false)) return *rb;
-      }
-    } else {
-      for (auto& [key, q] : adverts_) {
-        if (key.peer != peer) continue;
-        if (auto rb = take_matching(q, false)) return *rb;
-      }
-    }
+    if (auto rb = take_advert(peer, tag, get_side)) return *rb;
     if (peer < nranks_ && nic_.peer_down(peer)) return Status::PeerUnreachable;
     if (dl.expired()) return Status::NotFound;
     idle_wait_step(spins);
   }
+}
+
+util::Result<RendezvousBuffer> Photon::wait_send_rq(Rank peer, std::uint64_t tag,
+                                                    std::uint64_t timeout_ns) {
+  return wait_advert(peer, tag, /*get_side=*/false, timeout_ns);
 }
 
 util::Result<RendezvousBuffer> Photon::wait_recv_rq(Rank peer, std::uint64_t tag,
                                                     std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    progress();
-    if (tag != kAnyTag) {
-      auto it = adverts_.find({peer, tag});
-      if (it != adverts_.end()) {
-        if (auto rb = take_matching(it->second, true)) return *rb;
-      }
-    } else {
-      for (auto& [key, q] : adverts_) {
-        if (key.peer != peer) continue;
-        if (auto rb = take_matching(q, true)) return *rb;
-      }
-    }
-    if (peer < nranks_ && nic_.peer_down(peer)) return Status::PeerUnreachable;
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+  return wait_advert(peer, tag, /*get_side=*/true, timeout_ns);
 }
 
 util::Result<RequestId> Photon::post_os_put(Rank peer, LocalSlice src,

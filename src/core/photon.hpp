@@ -287,6 +287,9 @@ class Photon {
   /// Data-receiver side: wait for a peer's send-buffer advertisement.
   util::Result<RendezvousBuffer> wait_recv_rq(fabric::Rank peer, std::uint64_t tag,
                                               std::uint64_t timeout_ns = kDefaultTimeoutNs);
+  /// (peer, tag) pairs holding received adverts that no wait_*_rq has taken
+  /// yet; a pair is forgotten once its last advert is taken.
+  std::size_t pending_advert_tags() const noexcept { return adverts_.size(); }
   /// Write directly into an advertised buffer. Completes locally (test/wait).
   util::Result<RequestId> post_os_put(fabric::Rank peer, LocalSlice src,
                                       const RendezvousBuffer& rb);
@@ -401,6 +404,13 @@ class Photon {
                        std::optional<std::uint64_t> meta_override = std::nullopt);
   Status send_advert(fabric::Rank peer, const BufferDescriptor& buf,
                      std::uint64_t tag, RequestId rq, bool get_side);
+  /// Pop a received advert of the given side from `peer` (any tag when
+  /// `tag` is kAnyTag); an emptied (peer, tag) queue is erased.
+  std::optional<RendezvousBuffer> take_advert(fabric::Rank peer, std::uint64_t tag,
+                                              bool get_side);
+  /// Body of wait_send_rq / wait_recv_rq.
+  util::Result<RendezvousBuffer> wait_advert(fabric::Rank peer, std::uint64_t tag,
+                                             bool get_side, std::uint64_t timeout_ns);
 
   // Progress internals.
   /// React to peers newly declared Down by the NIC health tracker (gated on

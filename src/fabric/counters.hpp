@@ -1,56 +1,124 @@
-// Per-NIC operation counters (relaxed atomics; read for reporting/tests).
+// Per-NIC operation counters (read for reporting/tests).
+//
+// Single-writer rule: every counter has exactly one writing thread at a time,
+// so a bump is a relaxed load + store — never a locked read-modify-write.
+//   * Owner block (puts, gets, ... below): written by the owning rank's
+//     thread, or — for recvs_matched and rnr_* — by whoever holds the NIC's
+//     rx_mutex_, which serializes those writers.
+//   * Per-initiator slots (bytes_in, bytes_out, crc_rejects, dup_suppressed):
+//     counts another rank's thread causes at this NIC (landing a put or send,
+//     serving a get, rejecting or deduplicating a frame). Slot i is written
+//     only by rank i's thread — the owner's own contributions go to its own
+//     slot — and each slot has a cache line to itself.
+// Readers sum the slots (InitiatorSum::load), so every counters().<name>.load()
+// keeps its value and for_each emits the same names and values.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
+
+#include "fabric/types.hpp"
 
 namespace photon::fabric {
 
-struct Counters {
-  std::atomic<std::uint64_t> puts{0};
-  std::atomic<std::uint64_t> gets{0};
-  std::atomic<std::uint64_t> sends{0};
-  std::atomic<std::uint64_t> recvs_matched{0};
-  std::atomic<std::uint64_t> atomics{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> completions_polled{0};
-  std::atomic<std::uint64_t> rnr_buffered{0};   ///< sends parked awaiting a recv
-  std::atomic<std::uint64_t> rnr_rejected{0};   ///< sends dropped: park area full
-  std::atomic<std::uint64_t> post_errors{0};
-  std::atomic<std::uint64_t> faults_injected{0};
+/// One monotonic statistic with a single writer at a time.
+class Counter {
+ public:
+  // relaxed-ok (whole class): single writer per counter (see file comment);
+  // nothing is published through a statistic, readers take a torn-free
+  // snapshot.
+  std::uint64_t load(std::memory_order mo = std::memory_order_relaxed) const noexcept {
+    return v_.load(mo);
+  }
+  void bump(std::uint64_t n = 1) noexcept {
+    v_.store(v_.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+};
+
+/// Counts one initiating rank causes at a target NIC; that rank's thread is
+/// the only writer.
+struct alignas(64) InitiatorSlot {
+  Counter bytes_in;        ///< payload bytes landed here (puts, sends)
+  Counter bytes_out;       ///< bytes read from here (gets)
+  Counter crc_rejects;     ///< frames CRC-rejected here
+  Counter dup_suppressed;  ///< duplicate frames dropped here
+};
+
+/// A target-side counter: the sum of one field over every initiator slot.
+class InitiatorSum {
+ public:
+  InitiatorSum(std::span<const InitiatorSlot> slots,
+               Counter InitiatorSlot::*field) noexcept
+      : slots_(slots), field_(field) {}
+  // relaxed-ok: a snapshot of independent statistics, as Counter::load.
+  std::uint64_t load(std::memory_order mo = std::memory_order_relaxed) const noexcept {
+    std::uint64_t sum = 0;
+    for (const InitiatorSlot& s : slots_) sum += (s.*field_).load(mo);
+    return sum;
+  }
+
+ private:
+  std::span<const InitiatorSlot> slots_;
+  Counter InitiatorSlot::*field_;
+};
+
+class alignas(64) Counters {
+  // Declared first: the InitiatorSum members below view these slots.
+  std::unique_ptr<InitiatorSlot[]> slot_store_;
+  std::span<InitiatorSlot> slots_;
+
+ public:
+  explicit Counters(std::uint32_t nranks)
+      : slot_store_(std::make_unique<InitiatorSlot[]>(nranks)),
+        slots_(slot_store_.get(), nranks) {}
+
+  Counters(const Counters&) = delete;
+  Counters& operator=(const Counters&) = delete;
+
+  /// The slot `initiator`'s thread writes; only that thread may bump it.
+  InitiatorSlot& from(Rank initiator) noexcept { return slots_[initiator]; }
+
+  Counter puts;
+  Counter gets;
+  Counter sends;
+  Counter recvs_matched;  ///< under rx_mutex_
+  Counter atomics;
+  InitiatorSum bytes_out{slots_, &InitiatorSlot::bytes_out};
+  InitiatorSum bytes_in{slots_, &InitiatorSlot::bytes_in};
+  Counter completions_polled;
+  Counter rnr_buffered;   ///< sends parked awaiting a recv (under rx_mutex_)
+  Counter rnr_rejected;   ///< sends dropped: park area full (under rx_mutex_)
+  Counter post_errors;
+  Counter faults_injected;
 
   // Reliable-delivery / lossy-wire counters. Initiator-side unless noted.
-  std::atomic<std::uint64_t> retransmits{0};       ///< extra wire attempts
-  std::atomic<std::uint64_t> wire_drops{0};        ///< frames lost in flight
-  std::atomic<std::uint64_t> wire_ack_drops{0};    ///< acks lost (data landed)
-  std::atomic<std::uint64_t> wire_corruptions{0};  ///< frames damaged in flight
-  std::atomic<std::uint64_t> wire_delays{0};       ///< delay spikes applied
-  std::atomic<std::uint64_t> crc_rejects{0};       ///< target: frames CRC-rejected
-  std::atomic<std::uint64_t> dup_suppressed{0};    ///< target: duplicates dropped
-  std::atomic<std::uint64_t> link_down_stalls{0};  ///< attempts stalled: link down
-  std::atomic<std::uint64_t> op_timeouts{0};       ///< ops failed: budget exhausted
-  std::atomic<std::uint64_t> peer_unreachable{0};  ///< posts fast-failed: peer Down
+  Counter retransmits;       ///< extra wire attempts
+  Counter wire_drops;        ///< frames lost in flight
+  Counter wire_ack_drops;    ///< acks lost (data landed)
+  Counter wire_corruptions;  ///< frames damaged in flight
+  Counter wire_delays;       ///< delay spikes applied
+  InitiatorSum crc_rejects{slots_, &InitiatorSlot::crc_rejects};  ///< target
+  InitiatorSum dup_suppressed{slots_, &InitiatorSlot::dup_suppressed};  ///< target
+  Counter link_down_stalls;  ///< attempts stalled: link down
+  Counter op_timeouts;       ///< ops failed: budget exhausted
+  Counter peer_unreachable;  ///< posts fast-failed: peer Down
 
   // Recovery (reconnect/fence) counters.
-  std::atomic<std::uint64_t> recovery_probes{0};    ///< probes of a Down peer
-  std::atomic<std::uint64_t> recoveries{0};         ///< fences completed: peer Up
-  std::atomic<std::uint64_t> stale_epoch_drops{0};  ///< pre-fence frames dropped
-
-  void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
-    // relaxed-ok: monotonic statistics; nothing is published through them.
-    c.fetch_add(n, std::memory_order_relaxed);
-  }
+  Counter recovery_probes;    ///< probes of a Down peer
+  Counter recoveries;         ///< fences completed: peer Up
+  Counter stale_epoch_drops;  ///< pre-fence frames dropped
 
   /// Visit every counter as (name, value) — the single source of truth for
   /// exporters (telemetry fold, tables), so adding a field here and below is
   /// the whole job of exposing a new counter.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    auto emit = [&fn](const char* name, const std::atomic<std::uint64_t>& c) {
-      // relaxed-ok: snapshot read of independent statistics.
-      fn(name, c.load(std::memory_order_relaxed));
-    };
+    auto emit = [&fn](const char* name, const auto& c) { fn(name, c.load()); };
     emit("puts", puts);
     emit("gets", gets);
     emit("sends", sends);

@@ -38,11 +38,12 @@ Nic::Nic(Fabric& fabric, Rank rank, const NicConfig& cfg)
       cfg_(cfg),
       send_cq_(cfg.cq_depth),
       recv_cq_(cfg.cq_depth),
+      counters_(fabric.size()),
       health_(fabric.size(), cfg.health),
       tx_seq_(fabric.size(), 0),
       stream_done_(fabric.size(), 0),
       rx_frames_(fabric.size()),
-      in_flight_(fabric.size()) {
+      in_flight_((fabric.size() + InFlightLine::kPeers - 1) / InFlightLine::kPeers) {
   registry_.bind_checker(&fabric.checker(), rank);
 }
 
@@ -59,20 +60,19 @@ std::uint64_t Nic::charge_or_reuse_overhead(bool chained) {
 }
 
 bool Nic::acquire_slot(Rank peer) {
-  auto& c = in_flight_[peer];
-  // relaxed-ok: a pure admission counter — no data is published through it;
-  // the payload handoff is ordered by the CQ lane's release publish.
-  std::uint32_t cur = c.load(std::memory_order_relaxed);
-  while (cur < cfg_.sq_depth) {
-    if (c.compare_exchange_weak(cur, cur + 1, std::memory_order_relaxed))
-      return true;
-  }
-  return false;
+  auto& c = in_flight_slot(peer);
+  // relaxed-ok: owner-thread-only admission counter — no data is published
+  // through it; the payload handoff is ordered by the CQ lane's release publish.
+  const std::uint32_t cur = c.load(std::memory_order_relaxed);
+  if (cur >= cfg_.sq_depth) return false;
+  c.store(cur + 1, std::memory_order_relaxed);  // relaxed-ok: as above
+  return true;
 }
 
 void Nic::release_slot(Rank peer) {
+  auto& c = in_flight_slot(peer);
   // relaxed-ok: see acquire_slot().
-  in_flight_[peer].fetch_sub(1, std::memory_order_relaxed);
+  c.store(c.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
 }
 
 void Nic::complete_local(Completion c) {
@@ -81,7 +81,7 @@ void Nic::complete_local(Completion c) {
   if (c.peer < health_.size()) c.epoch = health_.epoch(c.peer);
   if (!send_cq_.push(c)) {
     // CQ overflow is sticky inside the queue; nothing more to do here.
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
   }
 }
 
@@ -133,7 +133,7 @@ std::uint64_t Nic::deliver_frame(OpCode op, Nic& target, std::uint64_t seq,
     // (single-writer per stream); atomics exist for cross-thread debug reads.
     if (seq <= rx.last_seq.load(std::memory_order_relaxed)) {
       if (!fixture_no_dedup) {
-        target.counters_.bump(target.counters_.dup_suppressed);
+        target.counters_.from(rank_).dup_suppressed.bump();
         return rx.last_result.load(std::memory_order_relaxed);
       }
       return deliver(t);  // BUG (by design): duplicate re-applied
@@ -179,7 +179,7 @@ Nic::WireTx Nic::transmit(OpCode op, Rank dst, std::uint64_t ready,
   for (std::uint32_t attempt = 1;; ++attempt) {
     // Scripted link state: stall (in virtual time) until the link is up.
     if (auto up = faults_.link_down_until(dst, ready)) {
-      counters_.bump(counters_.link_down_stalls);
+      counters_.link_down_stalls.bump();
       if (*up >= deadline) break;  // cannot come back within the budget
       ready = *up;
     }
@@ -190,7 +190,7 @@ Nic::WireTx Nic::transmit(OpCode op, Rank dst, std::uint64_t ready,
     bool delivered = false;
     switch (d.kind) {
       case WireFault::kDelay:
-        counters_.bump(counters_.wire_delays);
+        counters_.wire_delays.bump();
         t.local_done += d.delay_ns;
         t.deliver += d.delay_ns;
         [[fallthrough]];
@@ -199,10 +199,10 @@ Nic::WireTx Nic::transmit(OpCode op, Rank dst, std::uint64_t ready,
         delivered = true;
         break;
       case WireFault::kDrop:
-        counters_.bump(counters_.wire_drops);
+        counters_.wire_drops.bump();
         break;
       case WireFault::kCorrupt: {
-        counters_.bump(counters_.wire_corruptions);
+        counters_.wire_corruptions.bump();
         // Materialize the damage and run the receiver's CRC check for real:
         // flip one bit of a frame copy and verify against the header CRC.
         bool rejected = true;
@@ -223,7 +223,7 @@ Nic::WireTx Nic::transmit(OpCode op, Rank dst, std::uint64_t ready,
         }
         // Frame discarded at the target before any memory was touched; a
         // NACK rides back and the initiator retransmits.
-        target.counters_.bump(target.counters_.crc_rejects);
+        target.counters_.from(rank_).crc_rejects.bump();
         break;
       }
     }
@@ -243,15 +243,15 @@ Nic::WireTx Nic::transmit(OpCode op, Rank dst, std::uint64_t ready,
       }
       // Ack lost: the target applied the frame but the initiator cannot
       // know, so it backs off and retransmits; the duplicate is suppressed.
-      counters_.bump(counters_.wire_ack_drops);
+      counters_.wire_ack_drops.bump();
     }
-    counters_.bump(counters_.retransmits);
+    counters_.retransmits.bump();
     ready = t.local_done + rp.backoff_ns(attempt, stream_key);
   }
 
   // Retry budget or deadline exhausted (or a link cut outlasting it): the op
   // fails at its virtual-time deadline and counts against the peer's health.
-  counters_.bump(counters_.op_timeouts);
+  counters_.op_timeouts.bump();
   health_.record_failure(dst);
   tx.status = Status::Timeout;
   const std::uint64_t fail_at = deadline == kLinkDownForever ? ready : deadline;
@@ -272,7 +272,7 @@ bool Nic::fence_leg(Rank dst, std::uint64_t& ready) {
                                 (static_cast<std::uint64_t>(dst) << 20) ^ ready;
   for (std::uint32_t attempt = 1; attempt <= rp.max_attempts; ++attempt) {
     if (auto up = faults_.link_down_until(dst, ready)) {
-      counters_.bump(counters_.link_down_stalls);
+      counters_.link_down_stalls.bump();
       if (*up >= deadline) return false;  // link cut again mid-fence
       ready = *up;
     }
@@ -281,7 +281,7 @@ bool Nic::fence_leg(Rank dst, std::uint64_t& ready) {
     WireModel::Times t = fabric_.wire().transfer(rank_, dst, ready, kFenceBytes);
     switch (d.kind) {
       case WireFault::kDelay:
-        counters_.bump(counters_.wire_delays);
+        counters_.wire_delays.bump();
         t.local_done += d.delay_ns;
         t.deliver += d.delay_ns;
         [[fallthrough]];
@@ -290,14 +290,14 @@ bool Nic::fence_leg(Rank dst, std::uint64_t& ready) {
         ready = t.deliver;
         return true;
       case WireFault::kDrop:
-        counters_.bump(counters_.wire_drops);
+        counters_.wire_drops.bump();
         break;
       case WireFault::kCorrupt:
         // A damaged control frame is CRC-rejected like any data frame.
-        counters_.bump(counters_.wire_corruptions);
+        counters_.wire_corruptions.bump();
         break;
     }
-    counters_.bump(counters_.retransmits);
+    counters_.retransmits.bump();
     ready = t.local_done + rp.backoff_ns(attempt, leg_key);
   }
   return false;
@@ -306,7 +306,7 @@ bool Nic::fence_leg(Rank dst, std::uint64_t& ready) {
 bool Nic::try_recover(Rank peer) {
   if (peer >= health_.size() || peer == rank_) return false;
   if (!health_.down(peer)) return health_.usable(peer);
-  counters_.bump(counters_.recovery_probes);
+  counters_.recovery_probes.bump();
   if (!health_.begin_probe(peer)) return false;  // another prober owns it
 
   std::uint64_t ready = clock_.now();
@@ -316,7 +316,7 @@ bool Nic::try_recover(Rank peer) {
       return false;
     }
     // Stall (in virtual time) until the scripted window reopens.
-    counters_.bump(counters_.link_down_stalls);
+    counters_.link_down_stalls.bump();
     ready = *up;
   }
   if (!health_.mark_recovering(peer)) {  // a force_down raced the probe
@@ -360,7 +360,7 @@ bool Nic::try_recover(Rank peer) {
     health_.force_down(peer);  // a concurrent kill aborted the fence
     return false;
   }
-  counters_.bump(counters_.recoveries);
+  counters_.recoveries.bump();
   PHOTON_TELEM_HOOK({
     telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::process();
     if (reg.enabled())
@@ -372,7 +372,7 @@ bool Nic::try_recover(Rank peer) {
 bool Nic::peer_unusable(Rank dst) {
   if (!peer_down(dst)) return false;
   if (cfg_.auto_recover && try_recover(dst)) return false;
-  counters_.bump(counters_.peer_unreachable);
+  counters_.peer_unreachable.bump();
   return true;
 }
 
@@ -392,7 +392,7 @@ Status Nic::put_common(Rank dst, LocalRef src, bool is_inline, RemoteRef dst_ref
   } else if (len > 0) {
     auto mr = registry_.check_local(src.addr, len, src.lkey, kLocalRead);
     if (!mr.ok()) {
-      counters_.bump(counters_.post_errors);
+      counters_.post_errors.bump();
       return mr.status();
     }
   }
@@ -400,13 +400,13 @@ Status Nic::put_common(Rank dst, LocalRef src, bool is_inline, RemoteRef dst_ref
   if (peer_unusable(dst)) return Status::PeerUnreachable;
 
   if (!acquire_slot(dst)) {
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
     return Status::QueueFull;
   }
 
   const OpCode op = with_imm ? OpCode::PutImm : OpCode::Put;
   if (auto fault = faults_.maybe_fail(op, dst)) {
-    counters_.bump(counters_.faults_injected);
+    counters_.faults_injected.bump();
     complete_local({wr_id, op, *fault, dst, imm, static_cast<std::uint32_t>(len),
                     clock_.now(), 0});
     return Status::Ok;
@@ -438,7 +438,7 @@ Status Nic::put_common(Rank dst, LocalRef src, bool is_inline, RemoteRef dst_ref
       [&](const WireModel::Times& t) -> std::uint64_t {
         if (len > 0)
           copy_to_target(reinterpret_cast<void*>(dst_ref.addr), payload, len);
-        target.counters_.bump(target.counters_.bytes_in, len);
+        target.counters_.from(rank_).bytes_in.bump(len);
         if (with_imm) {
           target.recv_cq_.push({0, OpCode::PutImm, Status::Ok, rank_, imm,
                                 static_cast<std::uint32_t>(len), t.deliver, 0,
@@ -452,8 +452,8 @@ Status Nic::put_common(Rank dst, LocalRef src, bool is_inline, RemoteRef dst_ref
     return Status::Ok;
   }
 
-  counters_.bump(counters_.puts);
-  counters_.bump(counters_.bytes_out, len);
+  counters_.puts.bump();
+  counters_.from(rank_).bytes_out.bump(len);
 
   if (signaled) {
     complete_local({wr_id, op, Status::Ok, dst, imm,
@@ -491,16 +491,16 @@ Status Nic::post_get(Rank target_rank, LocalMutRef dst, RemoteRef src_ref,
   if (dst.len == 0) return Status::BadArgument;
   auto local = registry_.check_local(dst.addr, dst.len, dst.lkey, kLocalWrite);
   if (!local.ok()) {
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
     return local.status();
   }
   if (peer_unusable(target_rank)) return Status::PeerUnreachable;
   if (!acquire_slot(target_rank)) {
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
     return Status::QueueFull;
   }
   if (auto fault = faults_.maybe_fail(OpCode::Get, target_rank)) {
-    counters_.bump(counters_.faults_injected);
+    counters_.faults_injected.bump();
     complete_local({wr_id, OpCode::Get, *fault, target_rank, 0,
                     static_cast<std::uint32_t>(dst.len), clock_.now(), 0});
     return Status::Ok;
@@ -530,7 +530,7 @@ Status Nic::post_get(Rank target_rank, LocalMutRef dst, RemoteRef src_ref,
       [&](const WireModel::Times&) -> std::uint64_t {
         copy_from_target(dst.addr, reinterpret_cast<const void*>(src_ref.addr),
                          dst.len);
-        target.counters_.bump(target.counters_.bytes_out, dst.len);
+        target.counters_.from(rank_).bytes_out.bump(dst.len);
         return 0;
       });
   if (tx.status != Status::Ok) {
@@ -539,8 +539,8 @@ Status Nic::post_get(Rank target_rank, LocalMutRef dst, RemoteRef src_ref,
                     0});
     return Status::Ok;
   }
-  counters_.bump(counters_.gets);
-  counters_.bump(counters_.bytes_in, dst.len);
+  counters_.gets.bump();
+  counters_.from(rank_).bytes_in.bump(dst.len);
   complete_local({wr_id, OpCode::Get, Status::Ok, target_rank, 0,
                   static_cast<std::uint32_t>(dst.len), tx.times.local_done, 0});
   return Status::Ok;
@@ -551,11 +551,11 @@ Status Nic::post_fetch_add(Rank target_rank, RemoteRef ref64, std::uint64_t add,
   if (target_rank >= fabric_.size()) return Status::BadArgument;
   if (peer_unusable(target_rank)) return Status::PeerUnreachable;
   if (!acquire_slot(target_rank)) {
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
     return Status::QueueFull;
   }
   if (auto fault = faults_.maybe_fail(OpCode::FetchAdd, target_rank)) {
-    counters_.bump(counters_.faults_injected);
+    counters_.faults_injected.bump();
     complete_local({wr_id, OpCode::FetchAdd, *fault, target_rank, 0, 8,
                     clock_.now(), 0});
     return Status::Ok;
@@ -582,7 +582,7 @@ Status Nic::post_fetch_add(Rank target_rank, RemoteRef ref64, std::uint64_t add,
         return fabric_.wire().atomic_op(rank_, target_rank, r);
       },
       [&](const WireModel::Times&) -> std::uint64_t {
-        counters_.bump(counters_.atomics);
+        counters_.atomics.bump();
         return std::atomic_ref<std::uint64_t>(
                    *reinterpret_cast<std::uint64_t*>(ref64.addr))
             .fetch_add(add, std::memory_order_acq_rel);
@@ -598,11 +598,11 @@ Status Nic::post_compare_swap(Rank target_rank, RemoteRef ref64,
   if (target_rank >= fabric_.size()) return Status::BadArgument;
   if (peer_unusable(target_rank)) return Status::PeerUnreachable;
   if (!acquire_slot(target_rank)) {
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
     return Status::QueueFull;
   }
   if (auto fault = faults_.maybe_fail(OpCode::CompareSwap, target_rank)) {
-    counters_.bump(counters_.faults_injected);
+    counters_.faults_injected.bump();
     complete_local({wr_id, OpCode::CompareSwap, *fault, target_rank, 0, 8,
                     clock_.now(), 0});
     return Status::Ok;
@@ -634,7 +634,7 @@ Status Nic::post_compare_swap(Rank target_rank, RemoteRef ref64,
         std::uint64_t exp = expected;
         cell.compare_exchange_strong(exp, desired, std::memory_order_acq_rel,
                                      std::memory_order_acquire);
-        counters_.bump(counters_.atomics);
+        counters_.atomics.bump();
         return exp;
       });
   complete_local({wr_id, OpCode::CompareSwap, tx.status, target_rank, 0, 8,
@@ -648,11 +648,11 @@ Status Nic::post_swap(Rank target_rank, RemoteRef ref64, std::uint64_t value,
   if (target_rank >= fabric_.size()) return Status::BadArgument;
   if (peer_unusable(target_rank)) return Status::PeerUnreachable;
   if (!acquire_slot(target_rank)) {
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
     return Status::QueueFull;
   }
   if (auto fault = faults_.maybe_fail(OpCode::Swap, target_rank)) {
-    counters_.bump(counters_.faults_injected);
+    counters_.faults_injected.bump();
     complete_local({wr_id, OpCode::Swap, *fault, target_rank, 0, 8,
                     clock_.now(), 0});
     return Status::Ok;
@@ -679,7 +679,7 @@ Status Nic::post_swap(Rank target_rank, RemoteRef ref64, std::uint64_t value,
         return fabric_.wire().atomic_op(rank_, target_rank, r);
       },
       [&](const WireModel::Times&) -> std::uint64_t {
-        counters_.bump(counters_.atomics);
+        counters_.atomics.bump();
         return std::atomic_ref<std::uint64_t>(
                    *reinterpret_cast<std::uint64_t*>(ref64.addr))
             .exchange(value, std::memory_order_acq_rel);
@@ -697,17 +697,17 @@ Status Nic::post_send(Rank dst, LocalRef src, std::uint64_t imm,
   if (src.len > 0) {
     auto mr = registry_.check_local(src.addr, src.len, src.lkey, kLocalRead);
     if (!mr.ok()) {
-      counters_.bump(counters_.post_errors);
+      counters_.post_errors.bump();
       return mr.status();
     }
   }
   if (peer_unusable(dst)) return Status::PeerUnreachable;
   if (!acquire_slot(dst)) {
-    counters_.bump(counters_.post_errors);
+    counters_.post_errors.bump();
     return Status::QueueFull;
   }
   if (auto fault = faults_.maybe_fail(OpCode::Send, dst)) {
-    counters_.bump(counters_.faults_injected);
+    counters_.faults_injected.bump();
     complete_local({wr_id, OpCode::Send, *fault, dst, imm,
                     static_cast<std::uint32_t>(src.len), clock_.now(), 0});
     return Status::Ok;
@@ -722,7 +722,7 @@ Status Nic::post_send(Rank dst, LocalRef src, std::uint64_t imm,
       },
       [&](const WireModel::Times& t) -> std::uint64_t {
         target.accept_send(rank_, src.addr, src.len, imm, t.deliver, ep);
-        target.counters_.bump(target.counters_.bytes_in, src.len);
+        target.counters_.from(rank_).bytes_in.bump(src.len);
         return 0;
       });
   if (tx.status != Status::Ok) {
@@ -731,8 +731,8 @@ Status Nic::post_send(Rank dst, LocalRef src, std::uint64_t imm,
                     0});
     return Status::Ok;
   }
-  counters_.bump(counters_.sends);
-  counters_.bump(counters_.bytes_out, src.len);
+  counters_.sends.bump();
+  counters_.from(rank_).bytes_out.bump(src.len);
   if (signaled) {
     complete_local({wr_id, OpCode::Send, Status::Ok, dst, imm,
                     static_cast<std::uint32_t>(src.len), tx.times.local_done,
@@ -758,7 +758,7 @@ void Nic::accept_send(Rank src, const void* data, std::size_t len,
     return;
   }
   if (parked_.size() >= cfg_.max_parked_sends) {
-    counters_.bump(counters_.rnr_rejected);
+    counters_.rnr_rejected.bump();
     return;  // sender already saw local success; mailbox overflow drops —
              // the middleware's credit scheme must prevent this (tested).
   }
@@ -770,7 +770,7 @@ void Nic::accept_send(Rank src, const void* data, std::size_t len,
   p.data.resize(len);
   if (len > 0) std::memcpy(p.data.data(), data, len);
   parked_.push_back(std::move(p));
-  counters_.bump(counters_.rnr_buffered);
+  counters_.rnr_buffered.bump();
 }
 
 void Nic::deliver_recv_completion(const PostedRecv& r, Rank src, std::size_t len,
@@ -785,7 +785,7 @@ void Nic::deliver_recv_completion(const PostedRecv& r, Rank src, std::size_t len
   c.byte_len = static_cast<std::uint32_t>(std::min(len, r.buf.len));
   c.vtime = std::max(vtime, r.posted_vtime);
   c.epoch = epoch;
-  counters_.bump(counters_.recvs_matched);
+  counters_.recvs_matched.bump();
   recv_cq_.push(c);
 }
 
@@ -795,7 +795,7 @@ Status Nic::post_recv(LocalMutRef buf, std::uint64_t wr_id) {
   if (buf.len > 0) {
     auto mr = registry_.check_local(buf.addr, buf.len, buf.lkey, kLocalWrite);
     if (!mr.ok()) {
-      counters_.bump(counters_.post_errors);
+      counters_.post_errors.bump();
       return mr.status();
     }
   }
@@ -806,7 +806,7 @@ Status Nic::post_recv(LocalMutRef buf, std::uint64_t wr_id) {
     // A send parked before its sender's connection was fenced belongs to
     // the dead epoch: discard it rather than match it against a new recv.
     if (p.epoch < rx_frames_[p.src].epoch.load(std::memory_order_acquire)) {
-      counters_.bump(counters_.stale_epoch_drops);
+      counters_.stale_epoch_drops.bump();
       continue;
     }
     if (!p.data.empty())
@@ -842,12 +842,12 @@ Status Nic::consume(CompletionQueue& cq, Completion& out, ConsumeMode mode,
       // A remote event generated before the peer's connection was fenced:
       // the new epoch must never observe it. Counted, never delivered —
       // except Recv completions, handed up so the bounce slot is reposted.
-      counters_.bump(counters_.stale_epoch_drops);
+      counters_.stale_epoch_drops.bump();
       if (out.op != OpCode::Recv) continue;
     }
     clock_.advance_to(out.vtime);  // no-op for kReady
     clock_.add(fabric_.wire().recv_overhead());
-    counters_.bump(counters_.completions_polled);
+    counters_.completions_polled.bump();
     if (&cq == &send_cq_) release_slot(out.peer);
     return Status::Ok;
   }
@@ -861,7 +861,7 @@ std::size_t Nic::consume_batch(CompletionQueue& cq, std::span<Completion> out) {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (stale_epoch(out[i])) {
-        counters_.bump(counters_.stale_epoch_drops);
+        counters_.stale_epoch_drops.bump();
         if (out[i].op != OpCode::Recv) continue;
       }
       if (kept != i) out[kept] = out[i];
@@ -873,7 +873,7 @@ std::size_t Nic::consume_batch(CompletionQueue& cq, std::span<Completion> out) {
   // path is a no-op here; slot release and counters are order-insensitive
   // and applied up front. The clock charge stays with the caller (see
   // charge_consume) to keep per-completion interleaving identical.
-  counters_.bump(counters_.completions_polled, n);
+  counters_.completions_polled.bump(n);
   if (&cq == &send_cq_) {
     for (std::size_t i = 0; i < n; ++i) release_slot(out[i].peer);
   }
@@ -910,7 +910,9 @@ Status Nic::wait_recv(Completion& out, std::uint64_t timeout_ns) {
 
 std::size_t Nic::in_flight(Rank peer) const {
   // relaxed-ok: introspection read of the admission counter.
-  return in_flight_[peer].load(std::memory_order_relaxed);
+  return in_flight_[peer / InFlightLine::kPeers]
+      .peer[peer % InFlightLine::kPeers]
+      .load(std::memory_order_relaxed);
 }
 
 std::size_t Nic::posted_recvs() const {

@@ -99,6 +99,7 @@ class Nic {
   VClock& clock() noexcept { return clock_; }
   MemoryRegistry& registry() noexcept { return registry_; }
   Counters& counters() noexcept { return counters_; }
+  const Counters& counters() const noexcept { return counters_; }
   FaultInjector& faults() noexcept { return faults_; }
   const FaultInjector& faults() const noexcept { return faults_; }
   CompletionQueue& send_cq() noexcept { return send_cq_; }
@@ -355,7 +356,17 @@ class Nic {
   std::deque<PostedRecv> posted_recvs_ GUARDED_BY(rx_mutex_);
   std::deque<ParkedSend> parked_ GUARDED_BY(rx_mutex_);
 
-  std::vector<std::atomic<std::uint32_t>> in_flight_;
+  /// Per-peer send-queue occupancy. Owner-thread only (posts acquire a slot,
+  /// send-CQ polls release it), so a plain load + store, no RMW. Whole cache
+  /// lines of the NIC's own, so no other NIC's state shares them.
+  struct alignas(64) InFlightLine {
+    static constexpr std::size_t kPeers = 64 / sizeof(std::atomic<std::uint32_t>);
+    std::atomic<std::uint32_t> peer[kPeers];
+  };
+  std::atomic<std::uint32_t>& in_flight_slot(Rank peer) noexcept {
+    return in_flight_[peer / InFlightLine::kPeers].peer[peer % InFlightLine::kPeers];
+  }
+  std::vector<InFlightLine> in_flight_;
 };
 
 }  // namespace photon::fabric

@@ -21,30 +21,40 @@ WireModel::WireModel(const WireConfig& cfg, std::uint32_t nranks)
 
 void WireModel::reset() {
   // relaxed-ok: reset runs between phases with no concurrent reservations.
-  for (auto& l : link_free_) l.store(0, std::memory_order_relaxed);
-  for (auto& n : nic_free_) n.store(0, std::memory_order_relaxed);
+  for (auto& l : link_free_) l.t.store(0, std::memory_order_relaxed);
+  for (auto& n : nic_free_) n.t.store(0, std::memory_order_relaxed);
 }
 
-std::uint64_t WireModel::reserve(std::atomic<std::uint64_t>& res,
-                                 std::uint64_t ready, std::uint64_t busy) {
+std::uint64_t WireModel::reserve_link(FreeAt& link, std::uint64_t ready,
+                                      std::uint64_t busy) {
   // relaxed-ok: the CAS transfers a virtual-time reservation, not memory —
   // each winner derives its own start from the value it swapped in, and no
   // other location is published through the exchange.
-  std::uint64_t cur = res.load(std::memory_order_relaxed);
+  std::uint64_t cur = link.t.load(std::memory_order_relaxed);
   for (;;) {
     const std::uint64_t start = std::max(ready, cur);
-    if (res.compare_exchange_weak(cur, start + busy, std::memory_order_relaxed)) {
+    if (link.t.compare_exchange_weak(cur, start + busy, std::memory_order_relaxed)) {
       return start;
     }
   }
 }
 
+std::uint64_t WireModel::reserve_nic(Rank src, std::uint64_t ready,
+                                     std::uint64_t busy) {
+  std::atomic<std::uint64_t>& port = nic_free_[src].t;
+  // relaxed-ok: single writer (src's thread); a virtual-time value, nothing
+  // else is published through it.
+  const std::uint64_t start = std::max(ready, port.load(std::memory_order_relaxed));
+  port.store(start + busy, std::memory_order_relaxed);  // relaxed-ok: as above
+  return start;
+}
+
 WireModel::Times WireModel::transfer(Rank src, Rank dst, std::uint64_t ready,
                                      std::size_t bytes) {
   if (!cfg_.enabled) return {ready, ready};
-  const std::uint64_t inj_start = reserve(nic_free_[src], ready, cfg_.gap_ns);
+  const std::uint64_t inj_start = reserve_nic(src, ready, cfg_.gap_ns);
   const std::uint64_t busy = cfg_.gap_ns + byte_cost(bytes);
-  const std::uint64_t start = reserve(link(src, dst), inj_start, busy);
+  const std::uint64_t start = reserve_link(link(src, dst), inj_start, busy);
   const std::uint64_t xmit_end = start + busy;
   return {xmit_end, xmit_end + cfg_.latency_ns};
 }
@@ -57,7 +67,7 @@ WireModel::Times WireModel::get(Rank initiator, Rank target, std::uint64_t ready
   // Data phase: target -> initiator, DMA'd by the target NIC with no target
   // CPU involvement; it occupies the target's outbound link.
   const std::uint64_t busy = cfg_.gap_ns + byte_cost(bytes);
-  const std::uint64_t start = reserve(link(target, initiator), req.deliver, busy);
+  const std::uint64_t start = reserve_link(link(target, initiator), req.deliver, busy);
   const std::uint64_t data_end = start + busy;
   return {data_end + cfg_.latency_ns, req.deliver};
 }

@@ -51,7 +51,8 @@ class WireModel {
   };
 
   /// One-way transfer (put, put-with-imm, send). `ready` is the sender's
-  /// virtual time after the posting overhead has been charged.
+  /// virtual time after the posting overhead has been charged. Called only
+  /// from `src`'s thread (as are get and atomic_op for their initiator).
   Times transfer(Rank src, Rank dst, std::uint64_t ready, std::size_t bytes);
 
   /// RDMA read: request src->dst, data dst->src. Both timestamps land at the
@@ -77,20 +78,29 @@ class WireModel {
   std::uint64_t byte_cost(std::size_t bytes) const noexcept {
     return static_cast<std::uint64_t>(static_cast<double>(bytes) * cfg_.per_byte_ns);
   }
-  /// Reserve a resource: start = max(ready, free); free' = start + busy.
-  /// Returns start. Thread-safe (CAS loop) because the get data path makes
-  /// the initiator's thread reserve the target's outbound link.
-  static std::uint64_t reserve(std::atomic<std::uint64_t>& res,
-                               std::uint64_t ready, std::uint64_t busy);
+  /// A resource's next-free virtual time, on a cache line of its own.
+  struct alignas(64) FreeAt {
+    std::atomic<std::uint64_t> t{0};
+  };
 
-  std::atomic<std::uint64_t>& link(Rank s, Rank d) {
+  /// Reserve a link: start = max(ready, free); free' = start + busy.
+  /// Returns start. A CAS loop, because the get data path makes the
+  /// initiator's thread reserve the target's outbound link.
+  static std::uint64_t reserve_link(FreeAt& link, std::uint64_t ready,
+                                    std::uint64_t busy);
+  /// Reserve rank `src`'s injection port, the same rule as reserve_link.
+  /// Only src's thread reserves it (every transfer runs on the sending rank's
+  /// thread), so a plain load + store suffices.
+  std::uint64_t reserve_nic(Rank src, std::uint64_t ready, std::uint64_t busy);
+
+  FreeAt& link(Rank s, Rank d) {
     return link_free_[static_cast<std::size_t>(s) * nranks_ + d];
   }
 
   WireConfig cfg_;
   std::uint32_t nranks_;
-  std::vector<std::atomic<std::uint64_t>> link_free_;
-  std::vector<std::atomic<std::uint64_t>> nic_free_;
+  std::vector<FreeAt> link_free_;
+  std::vector<FreeAt> nic_free_;
 };
 
 }  // namespace photon::fabric

@@ -41,7 +41,7 @@ ParcelEngine::~ParcelEngine() {
 
 void ParcelEngine::send(fabric::Rank dst, HandlerId h,
                         std::span<const std::byte> args) {
-  util::Deadline dl(30'000'000'000ULL);
+  util::LazyDeadline dl(30'000'000'000ULL);
   std::uint32_t spins = 0;
   for (;;) {
     const Status st = transport_.send(dst, h, args);

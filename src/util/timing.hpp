@@ -32,4 +32,25 @@ class Deadline {
   std::uint64_t end_;
 };
 
+/// A Deadline armed by its first expired() call: retry loops check it only
+/// after a failed attempt, so an attempt that succeeds at once never reads
+/// the clock. The budget counts from that first check.
+class LazyDeadline {
+ public:
+  explicit LazyDeadline(std::uint64_t budget_ns) : budget_(budget_ns) {}
+  bool expired() noexcept {
+    const std::uint64_t now = now_ns();
+    if (!armed_) {
+      end_ = now + budget_;
+      armed_ = true;
+    }
+    return now >= end_;
+  }
+
+ private:
+  std::uint64_t budget_;
+  std::uint64_t end_ = 0;
+  bool armed_ = false;
+};
+
 }  // namespace photon::util

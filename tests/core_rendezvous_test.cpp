@@ -116,6 +116,37 @@ TEST(PhotonRendezvous, TagsKeepStreamsSeparate) {
   });
 }
 
+TEST(PhotonRendezvous, TakenAdvertsLeaveNoPerTagState) {
+  // Every rendezvous uses a fresh tag; once each advert is taken the core
+  // must hold no per-(peer, tag) state, or unique tags grow memory forever.
+  constexpr std::uint64_t kTags = 64;
+  constexpr std::size_t kWindow = 64;
+  with_photon(2, [](Env& env, Photon& ph) {
+    std::vector<std::byte> buf(kTags * kWindow);
+    auto desc = ph.register_buffer(buf.data(), buf.size());
+    ASSERT_TRUE(desc.ok());
+    if (env.rank == 1) {
+      std::vector<RequestId> rqs;
+      for (std::uint64_t tag = 0; tag < kTags; ++tag) {
+        BufferDescriptor window = desc.value();  // one window per advert
+        window.addr += tag * kWindow;
+        window.size = kWindow;
+        auto rq = ph.post_recv_buffer_rq(0, window, 1000 + tag);
+        ASSERT_TRUE(rq.ok());
+        rqs.push_back(rq.value());
+      }
+      for (RequestId rq : rqs) ASSERT_EQ(ph.wait(rq, kWait), Status::Ok);
+    } else {
+      for (std::uint64_t tag = 0; tag < kTags; ++tag) {
+        auto rb = ph.wait_send_rq(1, 1000 + tag, kWait);
+        ASSERT_TRUE(rb.ok());
+        ASSERT_EQ(ph.send_fin(1, rb.value()), Status::Ok);  // zero-byte transfer
+      }
+      EXPECT_EQ(ph.pending_advert_tags(), 0u);
+    }
+  });
+}
+
 TEST(PhotonRendezvous, WildcardTagMatchesAnyAdvert) {
   with_photon(2, [](Env& env, Photon& ph) {
     std::vector<std::byte> buf(4096);

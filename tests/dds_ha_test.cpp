@@ -90,8 +90,9 @@ TEST_P(DdsHaHashTable, AckedInsertsSurvivePrimaryKill) {
       EXPECT_EQ(ht.find(mine).value(), 99u);
       EXPECT_EQ(svc.fence(), Status::Ok);  // fence spans survivors only
       svc.engine().transport().quiesce(kWait);
-      if (env.rank == 0 && reg.enabled())
+      if (env.rank == 0 && reg.enabled()) {
         EXPECT_GE(reg.counter("dds.ha.promotions").get(), promos_before + 1);
+      }
     }
     env.bootstrap.barrier(env.rank);
   });
@@ -99,8 +100,8 @@ TEST_P(DdsHaHashTable, AckedInsertsSurvivePrimaryKill) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdsHaHashTable,
                          ::testing::Values(Backend::kRma, Backend::kRpc),
-                         [](const auto& info) {
-                           return std::string(backend_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(backend_name(param_info.param));
                          });
 
 // ---- queue failover conserves values -----------------------------------------
@@ -206,10 +207,11 @@ TEST(DdsHaLock, MutualExclusionHoldsAcrossFailover) {
     if (env.rank != 1)
       for (int i = 0; i < kRounds; ++i) cycle();  // via the promoted owner
     env.bootstrap.barrier(env.rank);
-    if (env.rank == 0)
+    if (env.rank == 0) {
       EXPECT_EQ(shared_count,
                 static_cast<std::uint64_t>(kRounds * env.size +
                                            kRounds * (env.size - 1)));
+    }
     env.bootstrap.barrier(env.rank);
   });
 }
@@ -230,9 +232,10 @@ TEST(DdsHaRejoin, StateTransferSurvivesSecondFailover) {
     const auto keys = keys_homed_at(ht, 1, 15);  // [12..14]: per-rank sentinels
 
     // Phase 1: all alive. keys[0..5] acked on ranks 1 and 2.
-    if (env.rank == 0)
+    if (env.rank == 0) {
       for (int i = 0; i < 6; ++i)
         ASSERT_EQ(ht.insert(keys[i], keys[i] + 7), Status::Ok);
+    }
     env.bootstrap.barrier(env.rank);
 
     // Phase 2: primary dies. keys[6..11] acked on rank 2 alone (the
@@ -241,9 +244,10 @@ TEST(DdsHaRejoin, StateTransferSurvivesSecondFailover) {
     env.bootstrap.barrier(env.rank);
     if (env.rank != 1) {
       ASSERT_EQ(comm.shrink(), 1u);
-      if (env.rank == 0)
+      if (env.rank == 0) {
         for (int i = 6; i < 12; ++i)
           ASSERT_EQ(ht.insert(keys[i], keys[i] + 7), Status::Ok);
+      }
     }
     env.bootstrap.barrier(env.rank);
 
@@ -334,9 +338,10 @@ TEST(DdsHaHandlerLifetime, DestroyWhileRequestsInFlightDropsStragglers) {
     cfg2.op_timeout_ns = kWait;
     HashTable ht2(svc, cfg2);
     const auto keys2 = keys_homed_at(ht2, 0, 4);
-    if (env.rank == 1)
+    if (env.rank == 1) {
       for (const std::uint64_t k : keys2)
         EXPECT_EQ(ht2.insert(k, k * 5), Status::Ok);
+    }
     ASSERT_EQ(svc.fence(), Status::Ok);
     for (const std::uint64_t k : keys2) {
       const auto v = ht2.find(k);

@@ -139,8 +139,8 @@ TEST(DdsHashTable, RejectsOversizedKeys) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdsHashTable,
                          ::testing::Values(Backend::kRma, Backend::kRpc),
-                         [](const auto& info) {
-                           return std::string(backend_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(backend_name(param_info.param));
                          });
 
 // ---- RMA vs RPC parity ------------------------------------------------------
@@ -245,8 +245,8 @@ TEST_P(DdsQueue, MpmcConservesEveryElement) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdsQueue,
                          ::testing::Values(Backend::kRma, Backend::kRpc),
-                         [](const auto& info) {
-                           return std::string(backend_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(backend_name(param_info.param));
                          });
 
 // ---- lock -------------------------------------------------------------------
@@ -301,8 +301,8 @@ TEST_P(DdsLock, NonReentrantAndReleaseRequiresHold) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdsLock,
                          ::testing::Values(Backend::kRma, Backend::kRpc),
-                         [](const auto& info) {
-                           return std::string(backend_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(backend_name(param_info.param));
                          });
 
 // ---- fast-fail against a dead owner -----------------------------------------
@@ -352,8 +352,8 @@ TEST_P(DdsFastFail, OpsToDeadOwnerSurfacePeerUnreachableImmediately) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdsFastFail,
                          ::testing::Values(Backend::kRma, Backend::kRpc),
-                         [](const auto& info) {
-                           return std::string(backend_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(backend_name(param_info.param));
                          });
 
 // ---- remote-atomic result cache through the DDS fast path -------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -395,6 +396,132 @@ TEST_F(NicTest, CountersTrackTraffic) {
   EXPECT_EQ(a.counters().sends.load(), 1u);
   EXPECT_EQ(a.counters().bytes_out.load(), 150u);
   EXPECT_EQ(b.counters().bytes_in.load(), 150u);
+}
+
+// Target-side counts live in per-initiator slots of the target NIC, each
+// written only by its initiator's thread. With ranks 1 and 2 posting puts,
+// sends, gets and compare-swaps concurrently into rank 0 and into each other
+// (while rank 0 drains its receives), every byte one NIC counts out must be
+// counted in by another, and each NIC's counters must equal an independent
+// tally of the posted ops — a slot written by two threads loses updates.
+TEST(NicCounterConservation, ConcurrentInitiatorsMatchIndependentTally) {
+  constexpr std::uint32_t kRanks = 3;
+  constexpr std::size_t kWindow = 4096;  // each initiator's window per rank
+  constexpr int kIters = 20000;
+  struct Tally {
+    std::uint64_t puts = 0, gets = 0, sends = 0, atomics = 0;
+    std::uint64_t bytes_out = 0, bytes_in = 0;
+  };
+  Fabric fab(photon::testing::timed_fabric(kRanks));
+  std::vector<std::vector<std::byte>> mem(
+      kRanks, std::vector<std::byte>(kRanks * kWindow));
+  std::vector<MemoryRegion> mr;
+  for (Rank r = 0; r < kRanks; ++r)
+    mr.push_back(fab.nic(r)
+                     .registry()
+                     .register_memory(mem[r].data(), mem[r].size(), kAccessAll)
+                     .value());
+  std::vector<std::byte> rbuf(kWindow);
+  const MemoryRegion rmr =
+      fab.nic(0).registry().register_memory(rbuf.data(), rbuf.size(), kAccessAll)
+          .value();
+
+  // tally[initiator][nic]: what the initiator's ops add to each NIC.
+  std::vector<std::vector<Tally>> tally(kRanks, std::vector<Tally>(kRanks));
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  auto initiate = [&](Rank me) {
+    struct Finish {
+      std::atomic<int>& n;
+      ~Finish() { n.fetch_add(1); }  // also on a failed ASSERT's early return
+    } finish{finished};
+    Nic& nic = fab.nic(me);
+    std::vector<Tally>& t = tally[me];
+    const Rank other = me == 1 ? 2 : 1;
+    const LocalMutRef window{mem[me].data() + me * kWindow, kWindow, mr[me].lkey};
+    started.fetch_add(1);
+    while (started.load() < 2) {
+    }  // overlap the two initiators' streams
+    Completion c;
+    for (int i = 0; i < kIters; ++i) {
+      const Rank dst = i % 2 == 0 ? 0 : other;
+      const std::size_t len = 8 + static_cast<std::size_t>(i) * 7 % (kWindow - 8);
+      const RemoteRef remote{mr[dst].begin() + me * kWindow, mr[dst].rkey};
+      const LocalRef src{window.addr, len, window.lkey};
+      const auto id = static_cast<std::uint64_t>(i);
+      Status st = Status::Ok;
+      switch (i / 2 % 4) {
+        case 0:
+          st = nic.post_put(dst, src, remote, id);
+          ++t[me].puts;
+          t[me].bytes_out += len;
+          t[dst].bytes_in += len;
+          break;
+        case 1:
+          st = nic.post_send(dst, src, 0, id);
+          ++t[me].sends;
+          t[me].bytes_out += len;
+          t[dst].bytes_in += len;
+          break;
+        case 2:
+          st = nic.post_get(dst, {window.addr, len, window.lkey}, remote, id);
+          ++t[me].gets;
+          t[me].bytes_in += len;
+          t[dst].bytes_out += len;
+          break;
+        default:
+          st = nic.post_compare_swap(dst, remote, id, id + 1, id);
+          ++t[me].atomics;
+          break;
+      }
+      ASSERT_EQ(st, Status::Ok);
+      ASSERT_EQ(nic.jump_send(c), Status::Ok);
+      ASSERT_EQ(c.status, Status::Ok);
+    }
+  };
+  std::thread target([&] {
+    Nic& nic = fab.nic(0);
+    Completion c;
+    std::uint64_t id = 0;
+    while (finished.load() < 2) {
+      if (nic.posted_recvs() == 0) {
+        ASSERT_EQ(nic.post_recv({rbuf.data(), rbuf.size(), rmr.lkey}, id++),
+                  Status::Ok);
+      }
+      while (nic.jump_recv(c) == Status::Ok) {
+      }
+    }
+  });
+  std::thread one(initiate, 1);
+  std::thread two(initiate, 2);
+  one.join();
+  two.join();
+  target.join();
+
+  std::uint64_t all_out = 0;
+  std::uint64_t all_in = 0;
+  for (Rank n = 0; n < kRanks; ++n) {
+    Tally want;
+    for (Rank r = 0; r < kRanks; ++r) {
+      want.puts += tally[r][n].puts;
+      want.gets += tally[r][n].gets;
+      want.sends += tally[r][n].sends;
+      want.atomics += tally[r][n].atomics;
+      want.bytes_out += tally[r][n].bytes_out;
+      want.bytes_in += tally[r][n].bytes_in;
+    }
+    const Counters& c = fab.nic(n).counters();
+    EXPECT_EQ(c.puts.load(), want.puts) << "nic " << n;
+    EXPECT_EQ(c.gets.load(), want.gets) << "nic " << n;
+    EXPECT_EQ(c.sends.load(), want.sends) << "nic " << n;
+    EXPECT_EQ(c.atomics.load(), want.atomics) << "nic " << n;
+    EXPECT_EQ(c.bytes_out.load(), want.bytes_out) << "nic " << n;
+    EXPECT_EQ(c.bytes_in.load(), want.bytes_in) << "nic " << n;
+    all_out += c.bytes_out.load();
+    all_in += c.bytes_in.load();
+  }
+  EXPECT_EQ(all_out, all_in);
+  EXPECT_GT(all_in, 0u);
 }
 
 TEST_F(NicTest, BatchPollDrainsArrivedReleasesSlotsAndChargesPerConsume) {

@@ -10,6 +10,7 @@
 #include "util/stats.hpp"
 #include "util/status.hpp"
 #include "util/sync_queue.hpp"
+#include "util/timing.hpp"
 
 namespace photon {
 namespace {
@@ -121,6 +122,16 @@ TEST(Rng, UnitInHalfOpenInterval) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
+}
+
+TEST(LazyDeadline, BudgetCountsFromTheFirstCheck) {
+  util::LazyDeadline zero(0);
+  EXPECT_TRUE(zero.expired());  // a zero budget fails the first check, as Deadline's
+  util::LazyDeadline lazy(20'000'000);  // 20 ms
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(lazy.expired());  // armed here, not at construction
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_TRUE(lazy.expired());
 }
 
 TEST(SyncQueue, FifoOrder) {

@@ -18,6 +18,11 @@ thread-safety analysis leg is unavailable):
   ledger-meta-accessor ledger `meta` spare bits are touched only through
                        the ledger_meta_* accessors in core/wire_format.hpp;
                        direct bit-twiddling of meta elsewhere is flagged.
+  foreign-nic-state    in src/fabric, a NIC's counters are owner-only except
+                       the per-initiator slot: another NIC's `counters_` is
+                       reached only as `.counters_.from(rank_)` (the calling
+                       rank's own slot), and no slot but `from(rank_)` is
+                       written.
 
 Usage:
   tools/photon_lint.py [--root DIR] [--format text|json]
@@ -56,6 +61,10 @@ HOT_PATH_FILES = {
     "src/fabric/completion_queue.hpp",
     "src/fabric/completion_queue.cpp",
     "src/resilience/peer_health.hpp",
+    # Every transfer reserves its NIC port and link here; the port is a
+    # single-writer store and the links a CAS, never a lock.
+    "src/fabric/wire_model.hpp",
+    "src/fabric/wire_model.cpp",
     # DDS fast paths: per-op telemetry + the RMA probe/ticket/handoff loops
     # run on every structure op; blocking primitives here would serialize
     # what the remote-atomic design exists to keep lock-free.
@@ -99,11 +108,22 @@ META_BITS_RE = re.compile(
     r"|\bmeta\b\s*(?:\|=|&=|\^=|<<=|>>=))"
 )
 
+# Single-writer NIC state: counters of another NIC (`target.counters_`,
+# `fabric_.nic(x).counters_`) may be reached only through the calling rank's
+# own per-initiator slot, and no code writes another initiator's slot.
+FABRIC_DIR = "src/fabric/"
+FOREIGN_COUNTERS_RE = re.compile(
+    r"(?:\b(?!this\b)\w+|\))\s*(?:\.|->)\s*counters_\b"
+    r"(?!\s*\.\s*from\(\s*rank_\s*\))"
+)
+OTHER_SLOT_RE = re.compile(r"\bcounters_\s*\.\s*from\(\s*(?!rank_\s*\))")
+
 ALL_RULES = (
     "relaxed-justify",
     "vtime-compare",
     "hot-path-blocking",
     "ledger-meta-accessor",
+    "foreign-nic-state",
 )
 
 
@@ -196,6 +216,18 @@ def lint_file(relpath: str, text: str, rules, allow):
                 i,
                 "direct bit access to ledger `meta`; use the ledger_meta_* "
                 "accessors in core/wire_format.hpp",
+            )
+
+        if (
+            "foreign-nic-state" in rules
+            and relpath.startswith(FABRIC_DIR)
+            and (FOREIGN_COUNTERS_RE.search(code) or OTHER_SLOT_RE.search(code))
+        ):
+            emit(
+                "foreign-nic-state",
+                i,
+                "another NIC's owner-only counters reached directly; write "
+                "through the calling rank's slot, `target.counters_.from(rank_)`",
             )
 
     return findings

@@ -843,6 +843,7 @@ void Checker::on_remote_id_popped(fabric::Rank target, fabric::Rank initiator,
   if (!enabled()) return;
   util::LockGuard lock(mutex_);
   const std::optional<std::uint64_t> taken = take_remote_id(target, initiator, id);
+  if (!taken && take_orphaned_remote_id(target, initiator, id)) return;
   if (!taken) {
     Violation v;
     v.kind = ViolationKind::kIdHygiene;
@@ -932,22 +933,54 @@ void Checker::on_remote_id_lost(fabric::Rank target, fabric::Rank initiator,
   maybe_retire(serial);
 }
 
-void Checker::on_peer_dead(fabric::Rank initiator, fabric::Rank peer) {
-  if (!enabled()) return;
-  util::LockGuard lock(mutex_);
+bool Checker::take_orphaned_remote_id(fabric::Rank target,
+                                      fabric::Rank initiator,
+                                      std::uint64_t id) {
+  auto [first, last] = orphaned_remote_ids_.equal_range({target, id});
+  for (auto it = first; it != last; ++it) {
+    if (it->second != initiator) continue;
+    orphaned_remote_ids_.erase(it);
+    return true;
+  }
+  return false;
+}
+
+void Checker::drop_stream(fabric::Rank initiator, fabric::Rank peer,
+                          bool orphan_remote_ids) {
   std::vector<std::uint64_t> serials;
   for (auto& [serial, st] : ops_) {
-    if (st.info.initiator == initiator && st.info.target == peer)
-      serials.push_back(serial);
+    if (st.info.initiator != initiator || st.info.target != peer) continue;
+    serials.push_back(serial);
+    if (orphan_remote_ids && st.wait_remote && st.info.remote_id)
+      orphaned_remote_ids_.emplace(std::make_pair(peer, *st.info.remote_id),
+                                   initiator);
   }
   for (const std::uint64_t serial : serials) drop_op(serial);
   race_drop_stream(initiator, peer);
 }
 
+void Checker::on_peer_dead(fabric::Rank initiator, fabric::Rank peer) {
+  if (!enabled()) return;
+  util::LockGuard lock(mutex_);
+  // The peer may still pop deposits that landed before the initiator gave
+  // up on it (Fabric::kill leaves the killed rank's thread running).
+  drop_stream(initiator, peer, /*orphan_remote_ids=*/true);
+}
+
 void Checker::on_peer_recovered(fabric::Rank initiator, fabric::Rank peer) {
-  // Same cleanup as peer death: completions of pre-fence ops can never
-  // arrive in the new epoch, and that is expected rather than a violation.
-  on_peer_dead(initiator, peer);
+  if (!enabled()) return;
+  util::LockGuard lock(mutex_);
+  // Completions of pre-fence ops can never arrive in the new epoch, and
+  // that is expected rather than a violation. Residue of the dead
+  // incarnation must be discarded, never popped, so its orphans go too.
+  drop_stream(initiator, peer, /*orphan_remote_ids=*/false);
+  for (auto it = orphaned_remote_ids_.begin(); it != orphaned_remote_ids_.end();) {
+    if (it->first.first == peer && it->second == initiator) {
+      it = orphaned_remote_ids_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Checker::on_flush(fabric::Rank initiator, fabric::Rank peer) {

@@ -142,7 +142,9 @@ class Checker {
                          std::uint64_t id);
   /// The initiator latched its connection to `peer` dead (verbs QP error):
   /// silently drop every outstanding op initiator->peer — their completions
-  /// will never arrive, and that is expected, not a protocol violation.
+  /// will never arrive, and that is expected, not a protocol violation. A
+  /// remote id among them that had already landed may still be popped by
+  /// the peer; that pop is not a violation either.
   void on_peer_dead(fabric::Rank initiator, fabric::Rank peer);
   /// The initiator fenced a new epoch toward `peer` (recovery): drop every
   /// still-outstanding op initiator->peer. Their completions belong to the
@@ -252,6 +254,12 @@ class Checker {
                                               fabric::Rank initiator,
                                               std::uint64_t id)
       REQUIRES(mutex_);
+  /// Consume an orphaned deposit (see orphaned_remote_ids_); false if none.
+  bool take_orphaned_remote_id(fabric::Rank target, fabric::Rank initiator,
+                               std::uint64_t id) REQUIRES(mutex_);
+  /// Body of on_peer_dead / on_peer_recovered.
+  void drop_stream(fabric::Rank initiator, fabric::Rank peer,
+                   bool orphan_remote_ids) REQUIRES(mutex_);
 
   // ---- race mode helpers (all REQUIRES(mutex_)) ----------------------------
   /// Stamp a committed wire op with its stream/index/knowledge snapshot and,
@@ -295,6 +303,11 @@ class Checker {
   /// oldest, matching its ledger/ring delivery order.
   std::multimap<std::pair<fabric::Rank, std::uint64_t>, std::uint64_t>
       remote_ids_ GUARDED_BY(mutex_);
+  /// (target, remote_id) -> initiator: outstanding deposits dropped because
+  /// the initiator declared the target dead. The target may still pop them;
+  /// that pop is not a violation.
+  std::multimap<std::pair<fabric::Rank, std::uint64_t>, fabric::Rank>
+      orphaned_remote_ids_ GUARDED_BY(mutex_);
   /// (owner, ns, request) -> serial.
   std::map<std::tuple<fabric::Rank, std::uint8_t, std::uint64_t>, std::uint64_t>
       requests_ GUARDED_BY(mutex_);

@@ -54,7 +54,7 @@ enum class CheckOpKind : std::uint8_t {
   kOsPut,      // rendezvous one-sided put against an advertised buffer
   kOsGet,      // rendezvous one-sided get against an advertised buffer
   kRndvGet,    // msg-engine rendezvous get
-  kAtomic,     // 8-byte atomic-cell op (fetch_add/cas/swap/put_u64/get_u64):
+  kAtomic,     // atomic-cell op (fetch_add/cas/swap/put_u64/get_u64/x2):
                // remote bounds are validated but no spans are claimed —
                // concurrent cell ops are the point of remote atomics
   kAdvert,     // rendezvous buffer advertisement (recv or send side)

@@ -16,12 +16,14 @@ struct LocalComplete {
   fabric::Rank peer = 0;
   /// Atomic-cell ops (fetch_add/compare_swap/swap/get_u64): the 64-bit value
   /// the remote cell held before the op executed (the fetched value for
-  /// get_u64). Zero for every other op class.
+  /// get_u64, the first cell for get_u64x2). Zero for every other op class.
   std::uint64_t result = 0;
   /// Ok for ordinary completions. Internal-id atomic ops deliver their
   /// failure here (instead of probe_error) so the blocking wrapper that
   /// posted them can consume the verdict in-line.
   Status status = Status::Ok;
+  /// get_u64x2: the second cell (the slice's address + 8). Zero otherwise.
+  std::uint64_t result2 = 0;
 };
 
 /// Target-side event: a peer's operation delivered a remote completion id

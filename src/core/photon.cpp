@@ -49,7 +49,7 @@ std::size_t Photon::atomic_pool_off() const {
   return staging_off() + ring_footprint(cfg_.eager_threshold);
 }
 std::size_t Photon::slab_size() const {
-  return atomic_pool_off() + std::size_t{kAtomicPoolCells} * 8;
+  return atomic_pool_off() + std::size_t{kAtomicPoolCells} * kPoolCellBytes;
 }
 
 // ---- construction ---------------------------------------------------------------
@@ -620,7 +620,13 @@ Status Photon::post_cell_op(OpKind kind, Rank dst, RemoteSlice cell,
                             std::optional<std::uint64_t> local_id,
                             std::uint32_t pool_slot, PostFn&& post) {
   if (dst >= nranks_) return Status::BadArgument;
-  if (cell.len != 8) return Status::BadArgument;
+  if (kind == OpKind::kGet64x2) {
+    // Only an 8-aligned 16-byte get is read word by word, in order; the NIC
+    // would memcpy anything else.
+    if (cell.len != 16 || cell.addr % 8 != 0) return Status::BadArgument;
+  } else if (cell.len != 8) {
+    return Status::BadArgument;
+  }
   if (!ensure_peer(dst)) return Status::PeerUnreachable;
   if (!fabric_headroom(dst, 1)) return Status::QueueFull;
 
@@ -632,7 +638,7 @@ Status Photon::post_cell_op(OpKind kind, Rank dst, RemoteSlice cell,
     pi.initiator = rank();
     pi.target = dst;
     pi.remote_addr = cell.addr;
-    pi.remote_len = 8;
+    pi.remote_len = cell.len;
     pi.remote_rkey = cell.rkey;
     pi.local_id = local_id;
     check_serial = nic_.checker().begin_op(pi);
@@ -767,35 +773,31 @@ Status Photon::try_put_u64(Rank dst, RemoteSlice cell, std::uint64_t value,
 
 Status Photon::try_get_u64(Rank src_rank, RemoteSlice cell,
                            std::optional<std::uint64_t> local_id) {
-  if (free_pool_.empty()) return Status::Retry;  // bounded outstanding get_u64s
+  return try_pool_get(OpKind::kGet64, src_rank, cell, local_id);
+}
+
+Status Photon::try_get_u64x2(Rank src_rank, RemoteSlice cells,
+                             std::optional<std::uint64_t> local_id) {
+  return try_pool_get(OpKind::kGet64x2, src_rank, cells, local_id);
+}
+
+Status Photon::try_pool_get(OpKind kind, Rank src_rank, RemoteSlice cells,
+                            std::optional<std::uint64_t> local_id) {
+  if (free_pool_.empty()) return Status::Retry;  // bounded outstanding reads
   const std::uint32_t slot = free_pool_.back();
   const Status st =
-      post_cell_op(OpKind::kGet64, src_rank, cell, local_id, slot,
+      post_cell_op(kind, src_rank, cells, local_id, slot,
                    [&](std::uint64_t w) {
                      return nic_.post_get(
                          src_rank,
                          fabric::LocalMutRef{
-                             slab_ptr(atomic_pool_off() + slot * 8), 8,
-                             slab_desc_.lkey},
-                         fabric::RemoteRef{cell.addr, cell.rkey}, w);
+                             slab_ptr(atomic_pool_off() + slot * kPoolCellBytes),
+                             cells.len, slab_desc_.lkey},
+                         fabric::RemoteRef{cells.addr, cells.rkey}, w);
                    });
   if (st != Status::Ok) return st;
   free_pool_.pop_back();  // slot is returned by the completion handler
   return Status::Ok;
-}
-
-util::Result<std::uint64_t> Photon::await_internal(std::uint64_t id,
-                                                   std::uint64_t timeout_ns) {
-  util::LazyDeadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    if (auto c = take_local(id)) {
-      if (c->status != Status::Ok) return c->status;
-      return c->result;
-    }
-    if (dl.expired()) return Status::Retry;
-    idle_wait_step(spins);
-  }
 }
 
 // ---- blocking wrappers ----------------------------------------------------------------
@@ -893,56 +895,83 @@ std::optional<ShardNak> Photon::take_shard_nak() {
   return nk;
 }
 
+template <typename TryFn>
+util::Result<LocalComplete> Photon::run_cell_op(TryFn&& try_once,
+                                                std::uint64_t timeout_ns) {
+  const std::uint64_t id = kInternalIdBit | ++internal_id_seq_;
+  const Status posted =
+      run_blocking(*this, [&] { return try_once(id); }, timeout_ns);
+  if (posted != Status::Ok) return posted;
+  util::LazyDeadline dl(timeout_ns);
+  std::uint32_t spins = 0;
+  for (;;) {
+    if (auto c = take_local(id)) {
+      if (c->status != Status::Ok) return c->status;
+      return *c;
+    }
+    if (dl.expired()) return Status::Retry;
+    idle_wait_step(spins);
+  }
+}
+
+namespace {
+util::Result<std::uint64_t> first_word(const util::Result<LocalComplete>& r) {
+  if (!r.ok()) return r.status();
+  return r.value().result;
+}
+}  // namespace
+
 util::Result<std::uint64_t> Photon::fetch_add(Rank dst, RemoteSlice cell,
                                               std::uint64_t add,
                                               std::uint64_t timeout_ns) {
-  const std::uint64_t id = kInternalIdBit | ++internal_id_seq_;
-  const Status posted = run_blocking(
-      *this, [&] { return try_fetch_add(dst, cell, add, id); }, timeout_ns);
-  if (posted != Status::Ok) return posted;
-  return await_internal(id, timeout_ns);
+  return first_word(run_cell_op(
+      [&](std::uint64_t id) { return try_fetch_add(dst, cell, add, id); },
+      timeout_ns));
 }
 
 util::Result<std::uint64_t> Photon::compare_swap(Rank dst, RemoteSlice cell,
                                                  std::uint64_t expected,
                                                  std::uint64_t desired,
                                                  std::uint64_t timeout_ns) {
-  const std::uint64_t id = kInternalIdBit | ++internal_id_seq_;
-  const Status posted = run_blocking(
-      *this, [&] { return try_compare_swap(dst, cell, expected, desired, id); },
-      timeout_ns);
-  if (posted != Status::Ok) return posted;
-  return await_internal(id, timeout_ns);
+  return first_word(run_cell_op(
+      [&](std::uint64_t id) {
+        return try_compare_swap(dst, cell, expected, desired, id);
+      },
+      timeout_ns));
 }
 
 util::Result<std::uint64_t> Photon::swap_u64(Rank dst, RemoteSlice cell,
                                              std::uint64_t value,
                                              std::uint64_t timeout_ns) {
-  const std::uint64_t id = kInternalIdBit | ++internal_id_seq_;
-  const Status posted = run_blocking(
-      *this, [&] { return try_swap(dst, cell, value, id); }, timeout_ns);
-  if (posted != Status::Ok) return posted;
-  return await_internal(id, timeout_ns);
+  return first_word(run_cell_op(
+      [&](std::uint64_t id) { return try_swap(dst, cell, value, id); },
+      timeout_ns));
 }
 
 util::Result<std::uint64_t> Photon::get_u64(Rank src_rank, RemoteSlice cell,
                                             std::uint64_t timeout_ns) {
-  const std::uint64_t id = kInternalIdBit | ++internal_id_seq_;
-  const Status posted = run_blocking(
-      *this, [&] { return try_get_u64(src_rank, cell, id); }, timeout_ns);
-  if (posted != Status::Ok) return posted;
-  return await_internal(id, timeout_ns);
+  return first_word(run_cell_op(
+      [&](std::uint64_t id) { return try_get_u64(src_rank, cell, id); },
+      timeout_ns));
+}
+
+util::Result<std::array<std::uint64_t, 2>> Photon::get_u64x2(
+    Rank src_rank, RemoteSlice cells, std::uint64_t timeout_ns) {
+  const auto r = run_cell_op(
+      [&](std::uint64_t id) { return try_get_u64x2(src_rank, cells, id); },
+      timeout_ns);
+  if (!r.ok()) return r.status();
+  return std::array<std::uint64_t, 2>{r.value().result, r.value().result2};
 }
 
 Status Photon::put_u64(Rank dst, RemoteSlice cell, std::uint64_t value,
                        std::uint64_t timeout_ns) {
-  const std::uint64_t id = kInternalIdBit | ++internal_id_seq_;
-  const Status posted = run_blocking(
-      *this, [&] { return try_put_u64(dst, cell, value, id, std::nullopt); },
-      timeout_ns);
-  if (posted != Status::Ok) return posted;
-  auto r = await_internal(id, timeout_ns);
-  return r.ok() ? Status::Ok : r.status();
+  return run_cell_op(
+             [&](std::uint64_t id) {
+               return try_put_u64(dst, cell, value, id, std::nullopt);
+             },
+             timeout_ns)
+      .status();
 }
 
 Status Photon::flush(Rank dst, std::uint64_t timeout_ns) {
@@ -1153,7 +1182,7 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
         rec.check_serial, rec.kind == OpKind::kPwcDirect));
     if (rec.has_local_id && (rec.local_id & kInternalIdBit) != 0) {
       // Internal-id op (blocking atomic-cell wrapper): the poster is spinning
-      // in await_internal on exactly this id — deliver the verdict there
+      // in run_cell_op on exactly this id — deliver the verdict there
       // instead of probe_error so failures are consumed in-line.
       local_q_.push_back({rec.local_id, rec.peer, 0, c.status});
       return;
@@ -1217,14 +1246,18 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
         trace(util::TraceKind::kLocalDone, rec.peer, 8, rec.local_id);
       }
       break;
-    case OpKind::kGet64: {
-      std::uint64_t v = 0;
-      std::memcpy(&v, slab_ptr(atomic_pool_off() + rec.pool_slot * 8), 8);
+    case OpKind::kGet64:
+    case OpKind::kGet64x2: {
+      std::uint64_t v[2] = {0, 0};
+      const std::size_t len = rec.kind == OpKind::kGet64x2 ? 16 : 8;
+      std::memcpy(v, slab_ptr(atomic_pool_off() + rec.pool_slot * kPoolCellBytes),
+                  len);
       free_pool_.push_back(rec.pool_slot);
       if (rec.has_local_id) {
-        local_q_.push_back({rec.local_id, rec.peer, v, Status::Ok});
+        local_q_.push_back({rec.local_id, rec.peer, v[0], Status::Ok, v[1]});
         ++stats_.local_completions;
-        trace(util::TraceKind::kLocalDone, rec.peer, 8, rec.local_id);
+        trace(util::TraceKind::kLocalDone, rec.peer,
+              static_cast<std::uint32_t>(len), rec.local_id);
       }
       break;
     }

@@ -30,6 +30,7 @@
 // virtual time).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -58,7 +59,8 @@ struct CoreStats {
   std::uint64_t direct_puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t signals = 0;
-  std::uint64_t atomics = 0;  ///< fetch_add/compare_swap/swap/put_u64/get_u64
+  /// fetch_add/compare_swap/swap/put_u64/get_u64/get_u64x2 (one per call)
+  std::uint64_t atomics = 0;
   std::uint64_t pads = 0;
   std::uint64_t credit_returns = 0;
   std::uint64_t credit_stalls = 0;   ///< try_* rejected for ring credits
@@ -147,6 +149,14 @@ class Photon {
   /// pool is exhausted (bounded by the pool size of outstanding get_u64s).
   Status try_get_u64(fabric::Rank src_rank, RemoteSlice cell,
                      std::optional<std::uint64_t> local_id);
+  /// Two-cell read: `cells` must be 16 bytes at an 8-aligned address (else
+  /// BadArgument, nothing posted). One round trip; the target reads the
+  /// first cell, then the second (ascending acquire loads), so a first cell
+  /// published by release/CAS implies the second cell's earlier stores are
+  /// seen. The words arrive in LocalComplete::result / result2; shares the
+  /// get_u64 landing pool (Retry when exhausted).
+  Status try_get_u64x2(fabric::Rank src_rank, RemoteSlice cells,
+                       std::optional<std::uint64_t> local_id);
 
   /// Blocking atomic-cell wrappers: progress+retry to post, then wait for
   /// the op's own completion (internal local id) and return the fetched /
@@ -163,6 +173,9 @@ class Photon {
                                        std::uint64_t timeout_ns = kDefaultTimeoutNs);
   util::Result<std::uint64_t> get_u64(fabric::Rank src_rank, RemoteSlice cell,
                                       std::uint64_t timeout_ns = kDefaultTimeoutNs);
+  util::Result<std::array<std::uint64_t, 2>> get_u64x2(
+      fabric::Rank src_rank, RemoteSlice cells,
+      std::uint64_t timeout_ns = kDefaultTimeoutNs);
   Status put_u64(fabric::Rank dst, RemoteSlice cell, std::uint64_t value,
                  std::uint64_t timeout_ns = kDefaultTimeoutNs);
 
@@ -329,7 +342,7 @@ class Photon {
   };
   enum class OpKind : std::uint8_t {
     kPwcDirect, kPwcEager, kGwc, kOsPut, kOsGet, kSignal,
-    kFadd, kCas, kSwap, kGet64,
+    kFadd, kCas, kSwap, kGet64, kGet64x2,
   };
   /// "No atomic-pool slot" sentinel for OpRecord::pool_slot.
   static constexpr std::uint32_t kNoPoolSlot = ~std::uint32_t{0};
@@ -343,7 +356,7 @@ class Photon {
     RequestId request = kInvalidRequest;
     std::uint64_t check_serial = 0;  ///< PhotonCheck shadow-op serial (0 = none)
     std::uint64_t post_vtime = 0;    ///< telemetry: virtual post timestamp
-    std::uint32_t pool_slot = kNoPoolSlot;  ///< kGet64 landing cell, if any
+    std::uint32_t pool_slot = kNoPoolSlot;  ///< kGet64/kGet64x2 landing cell
     bool in_use = false;
   };
   struct ReqInfo {
@@ -368,9 +381,11 @@ class Photon {
   std::size_t atomic_pool_off() const;
   std::size_t slab_size() const;
 
-  /// get_u64 landing cells carved out of the slab (bounds concurrent
-  /// outstanding get_u64 ops; exhausted -> Status::Retry).
+  /// get_u64/get_u64x2 landing cells carved out of the slab (bounds
+  /// concurrent outstanding cell reads; exhausted -> Status::Retry). Each
+  /// cell holds two words.
   static constexpr std::uint32_t kAtomicPoolCells = 64;
+  static constexpr std::size_t kPoolCellBytes = 16;
 
   // Credit accounting.
   std::uint64_t ring_consumed_by(fabric::Rank dst) const;  ///< read my cell
@@ -457,18 +472,24 @@ class Photon {
   /// One iteration of a blocking loop: progress, then yield/sleep when idle.
   void idle_pause(std::uint32_t& spins);
 
-  /// Shared body of the atomic try ops (kFadd/kCas/kSwap/kGet64): validate,
-  /// begin the shadow op, allocate the (always-signaled) op record — stamping
-  /// `pool_slot` for kGet64 — and run `post(wr_id)`. The fetched value
-  /// arrives via handle_local_completion.
+  /// Shared body of the atomic try ops (kFadd/kCas/kSwap/kGet64/kGet64x2):
+  /// validate, begin the shadow op, allocate the (always-signaled) op record
+  /// — stamping `pool_slot` for the reads — and run `post(wr_id)`. The
+  /// fetched value arrives via handle_local_completion.
   template <typename PostFn>
   Status post_cell_op(OpKind kind, fabric::Rank dst, RemoteSlice cell,
                       std::optional<std::uint64_t> local_id,
                       std::uint32_t pool_slot, PostFn&& post);
-  /// Blocking-wrapper tail: wait for the internal-id completion and unwrap
-  /// the fetched value / failure status.
-  util::Result<std::uint64_t> await_internal(std::uint64_t id,
-                                             std::uint64_t timeout_ns);
+  /// Body of try_get_u64 / try_get_u64x2: a get of `cells` into a free
+  /// landing-pool cell.
+  Status try_pool_get(OpKind kind, fabric::Rank src_rank, RemoteSlice cells,
+                      std::optional<std::uint64_t> local_id);
+  /// Body of the blocking atomic-cell wrappers: post `try_once(id)` under a
+  /// fresh internal id (progress+retry), then wait for that id's completion
+  /// and return it, or its failure status.
+  template <typename TryFn>
+  util::Result<LocalComplete> run_cell_op(TryFn&& try_once,
+                                          std::uint64_t timeout_ns);
 
   fabric::Nic& nic_;
   runtime::Exchanger& oob_;
@@ -520,7 +541,8 @@ class Photon {
       case OpKind::kFadd: return telemetry::OpClass::kFadd;
       case OpKind::kCas: return telemetry::OpClass::kCas;
       case OpKind::kSwap: return telemetry::OpClass::kSwap;
-      case OpKind::kGet64: return telemetry::OpClass::kGet;
+      case OpKind::kGet64:
+      case OpKind::kGet64x2: return telemetry::OpClass::kGet;
     }
     return telemetry::OpClass::kSignal;
   }
@@ -534,7 +556,7 @@ class Photon {
   std::vector<OpRecord> ops_;
   std::vector<std::uint64_t> free_ops_;
 
-  /// Free list over the slab's get_u64 landing cells.
+  /// Free list over the slab's get_u64/get_u64x2 landing cells.
   std::vector<std::uint32_t> free_pool_;
   /// Internal local-id space for the blocking atomic-cell wrappers: ids with
   /// this bit set never collide with application ids (which the DDS layer

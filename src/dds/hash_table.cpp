@@ -160,16 +160,11 @@ HashTable::~HashTable() {
     svc_.registry().remove(h);
 }
 
-core::RemoteSlice HashTable::tag_cell(fabric::Rank shard, fabric::Rank host,
-                                      std::uint32_t slot) const {
+core::RemoteSlice HashTable::slot_slice(fabric::Rank shard, fabric::Rank host,
+                                        std::uint32_t slot, std::size_t off,
+                                        std::size_t len) const {
   const auto& d = host == shard ? peer_shards_[host] : peer_replicas_[host];
-  return core::slice(d, std::size_t{slot} * 16, 8);
-}
-
-core::RemoteSlice HashTable::value_cell(fabric::Rank shard, fabric::Rank host,
-                                        std::uint32_t slot) const {
-  const auto& d = host == shard ? peer_shards_[host] : peer_replicas_[host];
-  return core::slice(d, std::size_t{slot} * 16 + 8, 8);
+  return core::slice(d, std::size_t{slot} * 16 + off, len);
 }
 
 Status HashTable::insert(std::uint64_t key, std::uint64_t value) {
@@ -227,23 +222,24 @@ util::Result<std::uint64_t> HashTable::probe_find(fabric::Rank shard,
                                                   fabric::Rank host,
                                                   std::uint64_t key) {
   auto& ph = svc_.photon();
-  util::Deadline dl(cfg_.op_timeout_ns);
+  util::LazyDeadline dl(cfg_.op_timeout_ns);
   std::uint32_t slot = start_slot(key);
   for (std::uint32_t i = 0; i < cfg_.probe_limit; ++i) {
-    auto tag = ph.get_u64(host, tag_cell(shard, host, slot), cfg_.op_timeout_ns);
-    if (!tag.ok()) return tag.status();
-    if (tag.value() == 0) return Status::NotFound;
-    if ((tag.value() >> 2) == key) {
-      if ((tag.value() & 3) == kReserved) {
-        // Claim in flight: the publish put is already on the wire. Re-read
-        // the same slot until it lands (bounded by the op timeout).
-        if (dl.expired()) return Status::Timeout;
-        svc_.progress();  // serve RPC requests this rank owns while polling
-        --i;
-        continue;
-      }
-      return ph.get_u64(host, value_cell(shard, host, slot),
-                        cfg_.op_timeout_ns);
+    // Tag and value in one round trip; the tag is read first, so a
+    // published tag comes with the value written before it was published.
+    auto cells =
+        ph.get_u64x2(host, slot_cells(shard, host, slot), cfg_.op_timeout_ns);
+    if (!cells.ok()) return cells.status();
+    const auto [tag, value] = cells.value();
+    if (tag == 0) return Status::NotFound;
+    if ((tag >> 2) == key) {
+      if ((tag & 3) == kPublished) return value;
+      // Claim in flight: the publish put is already on the wire. Re-read
+      // the same slot until it lands (bounded by the op timeout).
+      if (dl.expired()) return Status::Timeout;
+      svc_.progress();  // serve RPC requests this rank owns while polling
+      --i;
+      continue;
     }
     slot = (slot + 1) % cfg_.slots_per_rank;
   }

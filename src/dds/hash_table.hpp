@@ -13,8 +13,11 @@
 // finds its own key (reserved or published) updates the value in place and
 // help-publishes, so an insert acked anywhere is findable everywhere — the
 // chaos conservation oracle leans on exactly that. find() walks the same
-// chain with 8-byte GWC reads; an empty tag terminates (inserts never move
-// a slot once claimed, there is no deletion).
+// chain with one two-word read per slot (Photon::get_u64x2: tag, then
+// value, in one round trip); an empty tag terminates (inserts never move a
+// slot once claimed, there is no deletion). The NIC reads the tag before
+// the value, so a published tag carries the value put that preceded the
+// publish CAS.
 //
 // RPC engine — the owner keeps a plain hash map; insert/find are parcels to
 // the owner's handler, which replies to the requester. Identical interface,
@@ -90,10 +93,22 @@ class HashTable {
   }
   /// Cells of shard `shard`'s region as hosted at `host` — the primary
   /// array when host == shard, the partner's replica array otherwise.
+  core::RemoteSlice slot_slice(fabric::Rank shard, fabric::Rank host,
+                               std::uint32_t slot, std::size_t off,
+                               std::size_t len) const;
   core::RemoteSlice tag_cell(fabric::Rank shard, fabric::Rank host,
-                             std::uint32_t slot) const;
+                             std::uint32_t slot) const {
+    return slot_slice(shard, host, slot, 0, 8);
+  }
   core::RemoteSlice value_cell(fabric::Rank shard, fabric::Rank host,
-                               std::uint32_t slot) const;
+                               std::uint32_t slot) const {
+    return slot_slice(shard, host, slot, 8, 8);
+  }
+  /// The slot's tag and value cells as one 16-byte slice.
+  core::RemoteSlice slot_cells(fabric::Rank shard, fabric::Rank host,
+                               std::uint32_t slot) const {
+    return slot_slice(shard, host, slot, 0, 16);
+  }
 
   /// One owner-side insert attempt against shard's region at `host`;
   /// reports the claimed slot for mirroring.

@@ -99,12 +99,17 @@ void Nic::copy_to_target(void* dst, const void* src, std::size_t len) {
 
 void Nic::copy_from_target(void* dst, const void* src, std::size_t len) {
   if (len == 0) return;
-  if (len == 8 && aligned8(dst) && aligned8(src)) {
-    const std::uint64_t v =
-        std::atomic_ref<std::uint64_t>(
-            *const_cast<std::uint64_t*>(static_cast<const std::uint64_t*>(src)))
-            .load(std::memory_order_acquire);
-    std::memcpy(dst, &v, 8);
+  if ((len == 8 || len == 16) && aligned8(dst) && aligned8(src)) {
+    // One acquire load per word, in ascending address order: a reader that
+    // sees a word published by a release store (or CAS) also sees every
+    // store to the following words that preceded the publication.
+    auto* words =
+        const_cast<std::uint64_t*>(static_cast<const std::uint64_t*>(src));
+    for (std::size_t i = 0; i < len / 8; ++i) {
+      const std::uint64_t v = std::atomic_ref<std::uint64_t>(words[i])
+                                  .load(std::memory_order_acquire);
+      std::memcpy(static_cast<std::byte*>(dst) + i * 8, &v, 8);
+    }
     return;
   }
   std::memcpy(dst, src, len);

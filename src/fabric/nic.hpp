@@ -12,8 +12,12 @@
 //   * puts of exactly 8 naturally-aligned bytes are performed with a
 //     release store and may be observed by polling memory with an acquire
 //     load (the collectives layer relies on this, as real RMA barriers do);
-//     larger transfers are plain memcpy whose visibility is guaranteed only
-//     through completion-queue consumption;
+//     gets of 8 or 16 bytes from an 8-aligned address are read word by word
+//     with acquire loads in ascending address order, so a two-word get that
+//     sees a published first word also sees the stores that preceded its
+//     publication in the second (the DDS hash slot's tag/value read relies
+//     on this); larger transfers are plain memcpy whose visibility is
+//     guaranteed only through completion-queue consumption;
 //   * posting charges the LogGP send overhead `o` to the rank's virtual
 //     clock; consuming a completion charges the receive overhead and
 //     advances the clock to the completion's delivery timestamp;
@@ -283,8 +287,8 @@ class Nic {
   /// fast-fail with PeerUnreachable (counter already bumped).
   bool peer_unusable(Rank dst);
 
-  /// Write payload into validated target memory with the atomicity rules
-  /// described in the header comment.
+  /// Write payload into / read it out of validated target memory with the
+  /// atomicity rules described in the header comment.
   static void copy_to_target(void* dst, const void* src, std::size_t len);
   static void copy_from_target(void* dst, const void* src, std::size_t len);
 

@@ -314,6 +314,35 @@ TEST(PhotonCheckViolations, IdHygieneFiresOnceOnOpLeakedPastFinalize) {
   });
 }
 
+TEST(PhotonCheckViolations, PopOfDepositLandedBeforeDeathVerdictStaysSilent) {
+  Cluster cluster(quiet_fabric(2));
+  cluster.run([&](Env& env) {
+    auto& ck = env.nic.checker();
+    if (!arm_collect(ck)) GTEST_SKIP() << "checker disabled via PHOTON_CHECK";
+    Photon ph(env.nic, env.bootstrap, Config{});
+    if (env.rank == 1) {
+      std::vector<std::byte> payload(16);
+      ASSERT_EQ(ph.send_with_completion(0, payload, std::nullopt, 5, kWait),
+                Status::Ok);
+      // Rank 1 declares rank 0 dead while the deposit sits in its ring.
+      env.cluster.fabric().kill(0);
+      ph.progress();
+      ASSERT_TRUE(ph.peer_down(0));
+    }
+    env.bootstrap.barrier(env.rank);
+    if (env.rank == 0) {
+      // A killed rank's thread keeps running and may still pop it.
+      ProbeEvent ev;
+      ASSERT_EQ(ph.wait_event(ev, kWait), Status::Ok);
+      EXPECT_EQ(ev.id, 5u);
+    }
+    env.bootstrap.barrier(env.rank);
+    EXPECT_EQ(ck.violation_count(), 0u);
+    EXPECT_TRUE(ck.take_violations().empty());
+    env.bootstrap.barrier(env.rank);
+  });
+}
+
 // ---- zero false positives on a legal mixed workload --------------------------
 
 TEST(PhotonCheckViolations, CleanProtocolTrafficStaysSilent) {
@@ -342,6 +371,38 @@ TEST(PhotonCheckViolations, CleanProtocolTrafficStaysSilent) {
       ++got;
     }
     ASSERT_EQ(ph.flush(peer, kWait), Status::Ok);
+    env.bootstrap.barrier(env.rank);
+    EXPECT_EQ(ck.violation_count(), 0u);
+    EXPECT_TRUE(ck.take_violations().empty());
+    env.bootstrap.barrier(env.rank);
+  });
+}
+
+TEST(PhotonCheckViolations, TwoWordReadsRacingCellWritesStaySilent) {
+  Cluster cluster(quiet_fabric(2));
+  cluster.run([&](Env& env) {
+    auto& ck = env.nic.checker();
+    if (!arm_collect(ck)) GTEST_SKIP() << "checker disabled via PHOTON_CHECK";
+    ck.set_race_mode(true);
+    Photon ph(env.nic, env.bootstrap, Config{});
+    std::vector<std::uint64_t> cells(2, 0);  // rank 0 hosts {tag, value}
+    auto desc = ph.register_buffer(cells.data(), 16).value();
+    auto peers = ph.exchange_descriptors(desc);
+
+    // Rank 1 writes the value with put_u64 and advances the tag with
+    // compare_swap while both ranks read the pair with get_u64x2 (rank 0
+    // over loopback): concurrent cell ops on the same bytes are legal.
+    for (std::uint64_t i = 1; i <= 200; ++i) {
+      if (env.rank == 1) {
+        ASSERT_EQ(ph.put_u64(0, slice(peers[0], 8, 8), i, kWait), Status::Ok);
+        auto prior = ph.compare_swap(0, slice(peers[0], 0, 8), i - 1, i, kWait);
+        ASSERT_TRUE(prior.ok());
+        EXPECT_EQ(prior.value(), i - 1);
+      }
+      auto pair = ph.get_u64x2(0, slice(peers[0], 0, 16), kWait);
+      ASSERT_TRUE(pair.ok()) << status_name(pair.status());
+      EXPECT_LE(pair.value()[0], pair.value()[1]);
+    }
     env.bootstrap.barrier(env.rank);
     EXPECT_EQ(ck.violation_count(), 0u);
     EXPECT_TRUE(ck.take_violations().empty());

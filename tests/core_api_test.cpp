@@ -2,6 +2,8 @@
 // cases, and misuse handling.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstring>
 
 #include "check/checker.hpp"
@@ -206,6 +208,80 @@ TEST(Flush, DrainsInFlightOpsAndDeferredNotifies) {
 TEST(Flush, BadRankRejected) {
   with_photon(2, [](Env&, Photon& ph) {
     EXPECT_EQ(ph.flush(99, 1000), Status::BadArgument);
+  });
+}
+
+TEST(TwoCellRead, RejectsBadSlicesAndPostsNothing) {
+  with_photon(2, [](Env& env, Photon& ph) {
+    std::array<std::uint64_t, 4> cells{0, 11, 22, 0};
+    auto desc = ph.register_buffer(cells.data(), sizeof(cells)).value();
+    auto peers = ph.exchange_descriptors(desc);
+    if (env.rank == 0) {
+      const std::uint64_t atomics = ph.stats().atomics;
+      const std::uint64_t gets = env.nic.counters().gets.load();
+      for (const RemoteSlice bad :
+           {slice(peers[1], 8, 8), slice(peers[1], 8, 24),
+            slice(peers[1], 4, 16), slice(peers[1], 12, 16)}) {
+        EXPECT_EQ(ph.try_get_u64x2(1, bad, 1), Status::BadArgument);
+        EXPECT_EQ(ph.get_u64x2(1, bad, kWait).status(), Status::BadArgument);
+      }
+      EXPECT_EQ(ph.stats().atomics, atomics);
+      EXPECT_EQ(env.nic.in_flight(1), 0u);
+      ph.progress();
+      EXPECT_FALSE(ph.probe_local().has_value());
+      EXPECT_FALSE(ph.probe_error().has_value());
+      EXPECT_EQ(env.nic.counters().gets.load(), gets);
+
+      // A well-formed read of the same region returns both words and
+      // counts once.
+      auto r = ph.get_u64x2(1, slice(peers[1], 8, 16), kWait);
+      ASSERT_TRUE(r.ok()) << status_name(r.status());
+      EXPECT_EQ(r.value()[0], 11u);
+      EXPECT_EQ(r.value()[1], 22u);
+      EXPECT_EQ(ph.stats().atomics, atomics + 1);
+      EXPECT_EQ(env.nic.counters().gets.load(), gets + 1);
+    }
+    env.bootstrap.barrier(env.rank);
+  });
+}
+
+TEST(TwoCellRead, FirstCellIsReadBeforeTheSecond) {
+  // Rank 1 release-stores value = i, then tag = i, into its own {tag,
+  // value} pair; rank 0's two-word reads must never return tag = i with
+  // value < i. Reading the value first would return the previous value
+  // whenever the writer runs both stores between the two loads.
+  constexpr int kReads = 20'000;  // at least this many reads ...
+  constexpr int kMoves = 20;      // ... that saw the writer move this often
+  std::atomic<bool> done{false};
+  with_photon(2, [&](Env& env, Photon& ph) {
+    alignas(16) std::array<std::uint64_t, 2> cells{0, 0};  // {tag, value}
+    auto desc = ph.register_buffer(cells.data(), sizeof(cells)).value();
+    auto peers = ph.exchange_descriptors(desc);
+    if (env.rank == 1) {
+      std::atomic_ref<std::uint64_t> tag(cells[0]);
+      std::atomic_ref<std::uint64_t> value(cells[1]);
+      for (std::uint64_t i = 1; !done.load(std::memory_order_acquire); ++i) {
+        value.store(i, std::memory_order_release);
+        tag.store(i, std::memory_order_release);
+      }
+    } else {
+      int torn = 0;
+      int moving = 0;
+      std::uint64_t last_tag = 0;
+      util::Deadline dl(kWait);  // a starved writer thread must not hang us
+      for (int n = 0; (n < kReads || moving < kMoves) && !dl.expired(); ++n) {
+        auto r = ph.get_u64x2(1, slice(peers[1], 0, 16), kWait);
+        ASSERT_TRUE(r.ok()) << status_name(r.status());
+        const auto [tag, value] = r.value();
+        if (value < tag) ++torn;
+        if (tag != last_tag) ++moving;
+        last_tag = tag;
+      }
+      done.store(true, std::memory_order_release);
+      EXPECT_EQ(torn, 0) << "reads returned a tag ahead of its value";
+      EXPECT_GE(moving, kMoves) << "the writer barely ran during the reads";
+    }
+    env.bootstrap.barrier(env.rank);
   });
 }
 

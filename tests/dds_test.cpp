@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <vector>
 
 #include "dds/hash_table.hpp"
@@ -137,7 +139,142 @@ TEST(DdsHashTable, RejectsOversizedKeys) {
   });
 }
 
+/// Start of `key`'s probe chain in a shard of `slots` slots (the RMA
+/// table's slot selection).
+std::uint32_t home_slot(std::uint64_t key, std::uint32_t slots) {
+  return static_cast<std::uint32_t>((mix64(key) >> 20) % slots);
+}
+
+TEST(DdsHashTable, FindCostsOneReadPerProbedSlot) {
+  with_service(2, [](Env& env, Service& svc) {
+    HashTableConfig cfg;
+    cfg.backend = Backend::kRma;
+    cfg.slots_per_rank = 64;
+    HashTable ht(svc, cfg);
+    if (env.rank == 0) {
+      // Three keys sharing one home slot in rank 1's shard occupy slots
+      // s, s+1, s+2; `miss` is homed at a slot outside that chain.
+      std::map<std::uint32_t, std::vector<std::uint64_t>> by_slot;
+      std::vector<std::uint64_t> chain;
+      for (std::uint64_t k = 1000; chain.empty(); ++k) {
+        if (ht.home_of(k) != 1) continue;
+        auto& keys = by_slot[home_slot(k, cfg.slots_per_rank)];
+        keys.push_back(k);
+        if (keys.size() == 3) chain = keys;
+      }
+      const std::uint32_t s = home_slot(chain[0], cfg.slots_per_rank);
+      std::uint64_t miss = 1000;
+      while (ht.home_of(miss) != 1 ||
+             (home_slot(miss, cfg.slots_per_rank) + cfg.slots_per_rank - s) %
+                     cfg.slots_per_rank <
+                 3)
+        ++miss;
+      for (std::uint64_t k : chain) ASSERT_EQ(ht.insert(k, k + 1), Status::Ok);
+
+      // Remote reads a find posts: CoreStats::atomics counts one per
+      // get_u64x2, however many words it returns.
+      auto reads_of = [&](std::uint64_t k, util::Result<std::uint64_t>& r) {
+        const std::uint64_t before = svc.photon().stats().atomics;
+        r = ht.find(k);
+        return svc.photon().stats().atomics - before;
+      };
+      util::Result<std::uint64_t> r = Status::NotFound;
+      for (std::size_t i = 0; i < chain.size(); ++i) {
+        EXPECT_EQ(reads_of(chain[i], r), i + 1)
+            << "hit at probe position " << i + 1;
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.value(), chain[i] + 1);
+      }
+      EXPECT_EQ(reads_of(miss, r), 1u) << "miss at an empty home slot";
+      EXPECT_EQ(r.status(), Status::NotFound);
+    }
+    ASSERT_EQ(svc.fence(), Status::Ok);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, DdsHashTable,
+                         ::testing::Values(Backend::kRma, Backend::kRpc),
+                         [](const auto& param_info) {
+                           return std::string(backend_name(param_info.param));
+                         });
+
+// ---- concurrent writers and finders (TSan leg) -----------------------------
+
+class DdsHashTableConcurrent : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(DdsHashTableConcurrent, EveryHitCarriesItsKeyAndABegunVersion) {
+  // Ranks 0 and 1 write: each round updates a hot key and inserts a fresh
+  // one. Rank 2 finds hot keys, the newest acked fresh key of each writer,
+  // and the fresh key that writer may be inserting right now. Values are
+  // key << 32 | version << 1 | writer; a hit must carry its own key and a
+  // version its writer has begun to write (the kv_zipf check).
+  constexpr std::uint64_t kHot = 16;  // keys 1..kHot, preloaded at version 0
+  constexpr std::uint64_t kRounds = 400;
+  std::array<std::atomic<std::uint64_t>, 2> begun{};  // per writer
+  std::array<std::atomic<std::uint64_t>, 2> acked{};  // fresh keys inserted
+  const auto value_of = [](std::uint64_t key, std::uint64_t version,
+                           std::uint64_t writer) {
+    return key << 32 | version << 1 | writer;
+  };
+  const auto fresh_key = [](std::uint64_t writer, std::uint64_t i) {
+    return 1'000'000 * (writer + 1) + i;
+  };
+  with_service(3, [&](Env& env, Service& svc) {
+    HashTableConfig cfg;
+    cfg.backend = GetParam();
+    HashTable ht(svc, cfg);
+    if (env.rank == 0) {
+      for (std::uint64_t k = 1; k <= kHot; ++k)
+        ASSERT_EQ(ht.insert(k, value_of(k, 0, 0)), Status::Ok);
+    }
+    ASSERT_EQ(svc.fence(), Status::Ok);
+
+    const auto check_hit = [&](std::uint64_t key, std::uint64_t v) {
+      const std::uint64_t writer = v & 1;
+      const std::uint64_t version = (v >> 1) & 0x7fffffffu;
+      EXPECT_EQ(v >> 32, key) << "hit for key " << key << " carries " << v;
+      EXPECT_LE(version, begun[writer].load(std::memory_order_acquire))
+          << "key " << key << " carries a version never begun";
+    };
+    if (env.rank < 2) {
+      const std::uint64_t w = env.rank;
+      for (std::uint64_t i = 1; i <= kRounds; ++i) {
+        const std::uint64_t hot = 1 + (i * 7 + w) % kHot;
+        const std::uint64_t fresh = fresh_key(w, i);
+        begun[w].store(i, std::memory_order_release);
+        ASSERT_EQ(ht.insert(hot, value_of(hot, i, w)), Status::Ok);
+        ASSERT_EQ(ht.insert(fresh, value_of(fresh, i, w)), Status::Ok);
+        acked[w].store(i, std::memory_order_release);
+      }
+    } else {
+      for (std::uint64_t i = 0; i < 2 * kRounds; ++i) {
+        const std::uint64_t hot = 1 + i % kHot;
+        auto h = ht.find(hot);
+        ASSERT_TRUE(h.ok()) << "hot key " << hot << ": "
+                            << status_name(h.status());
+        check_hit(hot, h.value());
+        const std::uint64_t w = i & 1;
+        const std::uint64_t n = acked[w].load(std::memory_order_acquire);
+        if (n > 0) {
+          // Acked anywhere => findable everywhere.
+          auto f = ht.find(fresh_key(w, n));
+          ASSERT_TRUE(f.ok()) << "acked key " << fresh_key(w, n) << ": "
+                              << status_name(f.status());
+          check_hit(fresh_key(w, n), f.value());
+        }
+        auto g = ht.find(fresh_key(w, n + 1));  // possibly mid-insert
+        if (g.ok()) {
+          check_hit(fresh_key(w, n + 1), g.value());
+        } else {
+          EXPECT_EQ(g.status(), Status::NotFound);
+        }
+      }
+    }
+    ASSERT_EQ(svc.fence(), Status::Ok);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DdsHashTableConcurrent,
                          ::testing::Values(Backend::kRma, Backend::kRpc),
                          [](const auto& param_info) {
                            return std::string(backend_name(param_info.param));

@@ -37,7 +37,7 @@ for leg in "${legs[@]}"; do
       export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" ;;
     thread)
       export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 suppressions=$repo/tools/tsan.supp"
-      filter=(-R 'CompletionQueueVt|CompletionQueueLanes|RegistryConcurrency|NicTest.RecvCompletionPublishedOnlyAfterPayloadLands|NicCounterConservation|PhotonStress|FaultInjector|LatencyHistogram|MetricsRegistry|TelemetryEndToEnd|RecoverySoak') ;;
+      filter=(-R 'CompletionQueueVt|CompletionQueueLanes|RegistryConcurrency|NicTest.RecvCompletionPublishedOnlyAfterPayloadLands|NicCounterConservation|TwoCellRead.FirstCellIsReadBeforeTheSecond|DdsHashTableConcurrent|PhotonStress|FaultInjector|LatencyHistogram|MetricsRegistry|TelemetryEndToEnd|RecoverySoak') ;;
   esac
   if ctest --test-dir "$build" --output-on-failure "${filter[@]}" >/dev/null 2>&1; then
     echo "LEG $leg PASSED"

@@ -5,9 +5,11 @@
 // spin polls both CQs, and blocking waits read min_vtime() to decide how
 // far to jump. The seed implementation was a flat deque with linear scans,
 // so an empty poll and every poll_min cost O(n) in queue depth; the current
-// implementation drains lock-free producer lanes into a (vtime, ticket)
-// min-heap with a ready FIFO. To keep the speedup measurable forever, this bench carries a
-// verbatim copy of the seed structure (`LegacyCq` below) and reports both
+// implementation hands each completion over in one cache line of a
+// lock-free producer lane and files it into an in-order run (a ring), or a
+// (vtime, ticket) straggler heap when it arrives out of order, with a ready
+// FIFO in front. To keep the speedup measurable forever, this bench carries
+// a verbatim copy of the seed structure (`LegacyCq` below) and reports both
 // series side by side.
 //
 // Series, per depth in {256, 4096, 65536}:
@@ -17,15 +19,20 @@
 //               the dominant cost of a progress spin with events in flight
 //   drain(rdy)  ns per completion draining arrived events one at a time
 //   batch64     ns per completion draining via poll_ready_batch (span of 64)
+//   in-order    batch64 with monotone vtimes, as the data path pushes them
 //   min_vtime   ns per min_vtime() query on a full queue
-// plus one Photon-level row: wall ns per delivered signal for a saturated
-// 2-rank signal stream (posts, batched CQ drains, probe queue, wait_event).
+// plus a two-thread hand-off row (one producer thread pushing monotone
+// vtimes into a bounded queue, the consumer draining with poll_ready_batch;
+// wall ns per completion) and one Photon-level row: wall ns per delivered
+// signal for a saturated 2-rank signal stream (posts, batched CQ drains,
+// probe queue, wait_event).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 #include <deque>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "benchsupport/harness.hpp"
@@ -100,13 +107,18 @@ class LegacyCq {
 // ---------------------------------------------------------------------------
 constexpr std::uint64_t kFarFuture = ~std::uint64_t{0} >> 1;
 
+// vtime_range == 0: every event at vtime 0. kInOrder: vtime = index.
+constexpr std::uint64_t kInOrder = ~std::uint64_t{0};
+
 std::vector<Completion> make_events(std::size_t n, std::uint64_t vtime_range) {
   util::Xoshiro256 rng(0x9e3779b97f4a7c15ULL + n);
   std::vector<Completion> evs(n);
   for (std::size_t i = 0; i < n; ++i) {
     evs[i].wr_id = i;
     evs[i].peer = static_cast<fabric::Rank>(i % 8);
-    evs[i].vtime = vtime_range == 0 ? 0 : rng.below(vtime_range);
+    evs[i].vtime = vtime_range == kInOrder ? i
+                   : vtime_range == 0      ? 0
+                                           : rng.below(vtime_range);
   }
   return evs;
 }
@@ -121,10 +133,12 @@ struct Row {
   double poll_empty_ns = 0;
   double drain_ready_ns = 0;
   double drain_batch_ns = 0;
+  double drain_in_order_ns = 0;
   double legacy_min_vtime_ns = 0;
   double min_vtime_ns = 0;
 };
 std::map<std::size_t, Row> g_rows;
+double g_handoff_ns = 0;
 double g_progress_ns_per_event = 0;
 
 template <class Fn>
@@ -215,9 +229,10 @@ void BM_DrainReady(benchmark::State& st) {
   }
 }
 
-void BM_DrainBatch(benchmark::State& st) {
+void drain_batch_bench(benchmark::State& st, std::uint64_t vtime_range,
+                       double Row::*slot) {
   const auto depth = static_cast<std::size_t>(st.range(0));
-  const auto evs = make_events(depth, 1 << 20);
+  const auto evs = make_events(depth, vtime_range);
   std::array<Completion, 64> out;
   for (auto _ : st) {
     CompletionQueue cq(depth);
@@ -227,8 +242,54 @@ void BM_DrainBatch(benchmark::State& st) {
       while (cq.poll_ready_batch(out, n, kFarFuture) == Status::Ok)
         benchmark::DoNotOptimize(out[0]);
     });
-    g_rows[depth].drain_batch_ns = ns;
+    g_rows[depth].*slot = ns;
     st.SetIterationTime(ns * static_cast<double>(depth) / 1e9);
+  }
+}
+void BM_DrainBatch(benchmark::State& st) {
+  drain_batch_bench(st, 1 << 20, &Row::drain_batch_ns);
+}
+void BM_DrainBatchInOrder(benchmark::State& st) {
+  drain_batch_bench(st, kInOrder, &Row::drain_in_order_ns);
+}
+
+// Cross-thread hand-off: one producer thread pushes monotone vtimes, never
+// more than `depth` ahead of the consumer (so no push overflows), while
+// the consumer drains with poll_ready_batch. Each completion crosses cores
+// once, as a put's target event does.
+void BM_Handoff(benchmark::State& st) {
+  constexpr std::size_t kDepth = 1024;
+  constexpr std::uint64_t kEvents = 200'000;
+  std::array<Completion, 64> out;
+  for (auto _ : st) {
+    CompletionQueue cq(kDepth);
+    util::WallTimer t;
+    std::thread producer([&] {
+      Completion c;
+      std::size_t room = 0;  // pushes known to fit, like a sender's credits
+      for (std::uint64_t i = 0; i < kEvents; ++i) {
+        // Only this thread pushes, so size() can only overstate the backlog.
+        while (room == 0) {
+          room = kDepth - cq.size();
+          if (room == 0) std::this_thread::yield();
+        }
+        c.wr_id = i;
+        c.vtime = i;
+        cq.push(c);
+        --room;
+      }
+    });
+    std::uint64_t got = 0;
+    while (got < kEvents) {
+      std::size_t n = 0;
+      if (cq.poll_ready_batch(out, n, kFarFuture) == Status::Ok) {
+        benchmark::DoNotOptimize(out[0]);
+        got += n;
+      }
+    }
+    producer.join();
+    g_handoff_ns = static_cast<double>(t.elapsed_ns()) / kEvents;
+    st.SetIterationTime(g_handoff_ns * kEvents / 1e9);
   }
 }
 
@@ -300,8 +361,10 @@ BENCHMARK(BM_LegacyPollEmpty)->DEPTHS->UseManualTime()->Iterations(1);
 BENCHMARK(BM_PollEmpty)->DEPTHS->UseManualTime()->Iterations(1);
 BENCHMARK(BM_DrainReady)->DEPTHS->UseManualTime()->Iterations(1);
 BENCHMARK(BM_DrainBatch)->DEPTHS->UseManualTime()->Iterations(1);
+BENCHMARK(BM_DrainBatchInOrder)->DEPTHS->UseManualTime()->Iterations(1);
 BENCHMARK(BM_LegacyMinVtime)->DEPTHS->UseManualTime()->Iterations(1);
 BENCHMARK(BM_MinVtime)->DEPTHS->UseManualTime()->Iterations(1);
+BENCHMARK(BM_Handoff)->UseManualTime()->Iterations(1);
 BENCHMARK(BM_ProgressSaturated)->UseManualTime()->Iterations(1);
 #undef DEPTHS
 
@@ -314,7 +377,8 @@ int main(int argc, char** argv) {
   using benchsupport::Table;
   Table t("P-1  Completion-queue host cost (wall ns/op; legacy = seed deque)");
   t.columns({"depth", "push", "drain(min)", "legacy", "speedup", "poll(empty)",
-             "legacy", "drain(rdy)", "batch64", "min_vtime", "legacy"});
+             "legacy", "drain(rdy)", "batch64", "in-order", "min_vtime",
+             "legacy"});
   const auto cell = [](double v) { return v > 0 ? Table::num(v) : std::string("-"); };
   for (const auto& [depth, r] : g_rows) {
     t.row({std::to_string(depth), cell(r.push_ns), cell(r.drain_min_ns),
@@ -324,13 +388,16 @@ int main(int argc, char** argv) {
                : "-",
            cell(r.poll_empty_ns), cell(r.legacy_poll_empty_ns),
            cell(r.drain_ready_ns), cell(r.drain_batch_ns),
-           cell(r.min_vtime_ns), cell(r.legacy_min_vtime_ns)});
+           cell(r.drain_in_order_ns), cell(r.min_vtime_ns), cell(r.legacy_min_vtime_ns)});
   }
   t.print();
 
-  Table p("P-2  Photon::progress() under a saturated 2-rank signal stream");
+  Table p("P-2  Cross-thread hand-off and Photon::progress() (wall ns/event)");
   p.columns({"metric", "value"});
-  p.row({"wall ns/event (both ranks)", Table::num(g_progress_ns_per_event)});
+  p.row({"CQ hand-off, 1 producer thread -> poll_ready_batch",
+         Table::num(g_handoff_ns)});
+  p.row({"saturated 2-rank signal stream (both ranks)",
+         Table::num(g_progress_ns_per_event)});
   p.print();
   benchsupport::print_resilience_table();
   // Wall-clock host cost is nondeterministic; the "wall_" prefix tells

@@ -12,6 +12,9 @@ struct alignas(64) CompletionQueue::Lane {
   // Producer side: written only by the lane's producer thread.
   Segment* tail = nullptr;
   std::uint32_t tail_pos = 0;
+  /// The last popped_ this producer read; popped_ only grows, so it is a
+  /// lower bound on the live value.
+  std::uint64_t popped_seen = 0;
   /// Serial of the thread owning the lane.
   std::uint64_t thread_key = 0;
   /// Written before the lane is published on active_, immutable after.
@@ -77,7 +80,7 @@ CompletionQueue::Segment* CompletionQueue::take_segment(Lane& lane) {
   // relaxed-ok: as above.
   s->next.store(nullptr, std::memory_order_relaxed);
   // relaxed-ok: as above.
-  s->filled.store(0, std::memory_order_relaxed);
+  for (Slot& slot : s->slots) slot.stamp.store(0, std::memory_order_relaxed);
   return s;
 }
 
@@ -108,32 +111,38 @@ CompletionQueue::Lane& CompletionQueue::thread_lane() {
 }
 
 bool CompletionQueue::push(const Completion& c) {
-  // Reserve room first: exactly `depth` pushes can be pending, however many
-  // producers race for the last slot.
-  // relaxed-ok: an admission counter; entries are published through the
-  // lane's fill count, never through count_.
-  std::size_t cur = count_.load(std::memory_order_relaxed);
-  do {
-    if (cur >= depth_) {
-      // relaxed-ok: sticky latch and statistic; no data rides on it.
-      overflows_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-  } while (!count_.compare_exchange_weak(cur, cur + 1,
-                                         std::memory_order_relaxed));
-  // relaxed-ok: the modification order of the counter alone defines push
-  // order; the entry itself is published by the fill-count release below.
-  const std::uint64_t ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
-
   Lane& lane = thread_lane();
+  // Admit and take a ticket in one CAS: exactly `depth` pushes can be
+  // pending, however many producers race for the last slot, and the
+  // modification order of pushed_ is the global admission order.
+  // relaxed-ok: entries are published through their slot's stamp, never
+  // through pushed_; the CAS re-reads it on failure.
+  std::uint64_t cur = pushed_.load(std::memory_order_relaxed);
+  do {
+    if (cur >= lane.popped_seen + depth_) {
+      // Looks full against the cached pop count: re-read before rejecting.
+      // The acquire pairs with the consumer's release in popped(), so every
+      // push counted in the value read is already visible to the CAS.
+      lane.popped_seen = popped_.load(std::memory_order_acquire);
+      if (cur >= lane.popped_seen + depth_) {
+        // relaxed-ok: sticky latch and statistic; no data rides on it.
+        overflows_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+    }
+  } while (!pushed_.compare_exchange_weak(cur, cur + 1,
+                                          std::memory_order_relaxed));
+
   if (lane.tail_pos == kSegmentSlots) {
     Segment* s = take_segment(lane);
     lane.tail->next.store(s, std::memory_order_release);
     lane.tail = s;
     lane.tail_pos = 0;
   }
-  lane.tail->slots[lane.tail_pos] = Entry{c, ticket};
-  lane.tail->filled.store(++lane.tail_pos, std::memory_order_release);
+  Slot& slot = lane.tail->slots[lane.tail_pos++];
+  slot.e = Packed{c.wr_id,    c.imm,   c.vtime, c.result, c.byte_len,
+                  c.epoch,    c.peer,  c.status, c.op};
+  slot.stamp.store(cur + 1, std::memory_order_release);
   return true;
 }
 
@@ -142,12 +151,12 @@ bool CompletionQueue::push(const Completion& c) {
 void CompletionQueue::drain_lane(Lane& lane) {
   for (;;) {
     Segment* s = lane.head;
-    const std::uint32_t filled = s->filled.load(std::memory_order_acquire);
-    for (; lane.head_pos < filled; ++lane.head_pos) {
-      heap_.push_back(s->slots[lane.head_pos]);
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
+    for (; lane.head_pos < kSegmentSlots; ++lane.head_pos) {
+      const Slot& slot = s->slots[lane.head_pos];
+      const std::uint64_t stamp = slot.stamp.load(std::memory_order_acquire);
+      if (stamp == 0) return;
+      file(slot.e, stamp - 1);
     }
-    if (filled < kSegmentSlots) return;
     Segment* next = s->next.load(std::memory_order_acquire);
     if (next == nullptr) return;  // the producer has not moved on yet
     lane.head = next;
@@ -171,6 +180,52 @@ void CompletionQueue::drain() {
   for (Lane* l : lanes_) drain_lane(*l);
 }
 
+// An entry joins the run when it sorts after the run's last entry (always,
+// for a source pushing alone in vtime order); anything else is a straggler.
+// It is written at the run's tail first and stays there if it belongs.
+void CompletionQueue::file(const Packed& e, std::uint64_t ticket) {
+  if (run_size() == run_.size()) grow_run();
+  const std::size_t mask = run_.size() - 1;
+  Entry& tail = run_[run_tail_ & mask];
+  tail.e = e;
+  tail.ticket = ticket;
+  if (run_size() == 0 || Later{}(tail, run_[(run_tail_ - 1) & mask])) {
+    ++run_tail_;
+    return;
+  }
+  heap_.push_back(tail);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void CompletionQueue::grow_run() {
+  std::vector<Entry> bigger(std::max<std::size_t>(64, 2 * run_.size()));
+  const std::size_t n = run_size();
+  for (std::size_t i = 0; i < n; ++i)
+    bigger[i] = run_[(run_head_ + i) & (run_.size() - 1)];
+  run_.swap(bigger);
+  run_head_ = 0;
+  run_tail_ = n;
+}
+
+bool CompletionQueue::run_is_min() const {
+  return run_size() != 0 &&
+         (heap_.empty() || !Later{}(run_front(), heap_.front()));
+}
+
+const CompletionQueue::Entry* CompletionQueue::pending_min() const {
+  if (run_is_min()) return &run_front();
+  return heap_.empty() ? nullptr : &heap_.front();
+}
+
+void CompletionQueue::pop_pending() {
+  if (run_is_min()) {
+    ++run_head_;
+    return;
+  }
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+}
+
 bool CompletionQueue::overflowed() const {
   // relaxed-ok: sticky latch; a poll racing the overflowing push may miss it
   // once, exactly as it could have run just before that push.
@@ -178,46 +233,47 @@ bool CompletionQueue::overflowed() const {
 }
 
 void CompletionQueue::popped(std::size_t n) {
-  // relaxed-ok: admission counter (see push).
-  count_.fetch_sub(n, std::memory_order_relaxed);
+  // Only this thread writes popped_. The release makes every push counted
+  // by the pops it reports visible to a producer that reads it (see push).
+  // relaxed-ok: single writer reading its own last store.
+  popped_.store(popped_.load(std::memory_order_relaxed) + n,
+                std::memory_order_release);
 }
 
 // Promotion only runs when the ready-FIFO is empty: a single promotion
-// batch pops the heap in ascending (vtime, ticket) order, so the FIFO stays
-// sorted. Mixing batches could interleave a later, smaller-vtime push
-// behind an earlier promotion and break poll_min's global ordering.
+// batch takes pending entries in ascending (vtime, ticket) order, so the
+// FIFO stays sorted. Mixing batches could interleave a later, smaller-vtime
+// push behind an earlier promotion and break poll_min's global ordering.
 void CompletionQueue::promote_arrived(std::uint64_t now) {
-  if (!ready_.empty()) return;
-  while (!heap_.empty() && vt_before_eq(heap_.front().c.vtime, now)) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    ready_.push_back(heap_.back());
-    heap_.pop_back();
+  if (!ready_empty()) return;
+  ready_.clear();
+  ready_head_ = 0;
+  for (const Entry* e = pending_min(); e != nullptr && vt_before_eq(e->e.vtime, now);
+       e = pending_min()) {
+    ready_.push_back(*e);
+    pop_pending();
   }
 }
 
-Completion CompletionQueue::pop_earliest() {
+const CompletionQueue::Entry* CompletionQueue::earliest() const {
   // The FIFO is ascending, so its front is its minimum; compare it with the
-  // heap top on the full (vtime, ticket) key.
-  if (!ready_.empty() && (heap_.empty() || !Later{}(ready_.front(), heap_.front()))) {
-    Completion c = ready_.front().c;
-    ready_.pop_front();
-    return c;
-  }
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Completion c = heap_.back().c;
-  heap_.pop_back();
-  return c;
+  // earliest pending entry on the full (vtime, ticket) key.
+  const Entry* pending = pending_min();
+  if (ready_empty()) return pending;
+  const Entry* front = &ready_[ready_head_];
+  return pending == nullptr || !Later{}(*front, *pending) ? front : pending;
+}
+
+Completion CompletionQueue::unpack(const Entry& en) {
+  const Packed& e = en.e;
+  return Completion{.wr_id = e.wr_id, .op = e.op, .status = e.status,
+                    .peer = e.peer, .imm = e.imm, .byte_len = e.byte_len,
+                    .vtime = e.vtime, .result = e.result, .epoch = e.epoch};
 }
 
 Status CompletionQueue::poll_ready(Completion& out, std::uint64_t now) {
-  if (overflowed()) return Status::QueueFull;
-  drain();
-  promote_arrived(now);
-  if (ready_.empty()) return Status::NotFound;
-  out = ready_.front().c;
-  ready_.pop_front();
-  popped(1);
-  return Status::Ok;
+  std::size_t n = 0;
+  return poll_ready_batch(std::span<Completion>(&out, 1), n, now);
 }
 
 Status CompletionQueue::poll_ready_batch(std::span<Completion> out,
@@ -226,13 +282,19 @@ Status CompletionQueue::poll_ready_batch(std::span<Completion> out,
   n_out = 0;
   if (overflowed()) return Status::QueueFull;
   drain();
-  while (n_out < out.size()) {
-    promote_arrived(now);
-    if (ready_.empty()) break;
-    const std::size_t take = std::min(out.size() - n_out, ready_.size());
-    for (std::size_t i = 0; i < take; ++i) out[n_out + i] = ready_[i].c;
-    ready_.erase(ready_.begin(), ready_.begin() + take);
-    n_out += take;
+  // The rest of an earlier promotion goes first.
+  while (n_out < out.size() && !ready_empty())
+    out[n_out++] = unpack(ready_[ready_head_++]);
+  if (n_out < out.size()) {
+    // A fresh promotion, written straight to `out`; whatever arrived but
+    // does not fit is promoted to the FIFO, as if all of it had been.
+    for (const Entry* e = pending_min(); n_out < out.size() && e != nullptr &&
+                                         vt_before_eq(e->e.vtime, now);
+         e = pending_min()) {
+      out[n_out++] = unpack(*e);
+      pop_pending();
+    }
+    if (n_out == out.size()) promote_arrived(now);
   }
   if (n_out == 0) return Status::NotFound;
   popped(n_out);
@@ -242,18 +304,23 @@ Status CompletionQueue::poll_ready_batch(std::span<Completion> out,
 Status CompletionQueue::poll_min(Completion& out) {
   if (overflowed()) return Status::QueueFull;
   drain();
-  if (empty()) return Status::NotFound;
-  out = pop_earliest();
+  const Entry* e = earliest();
+  if (e == nullptr) return Status::NotFound;
+  out = unpack(*e);
+  if (ready_empty() || e != &ready_[ready_head_]) {
+    pop_pending();
+  } else {
+    ++ready_head_;
+  }
   popped(1);
   return Status::Ok;
 }
 
 std::optional<std::uint64_t> CompletionQueue::min_vtime() {
   drain();
-  if (empty()) return std::nullopt;
-  if (ready_.empty()) return heap_.front().c.vtime;
-  if (heap_.empty()) return ready_.front().c.vtime;
-  return util::vt_min(ready_.front().c.vtime, heap_.front().c.vtime);
+  const Entry* e = earliest();
+  if (e == nullptr) return std::nullopt;
+  return e->e.vtime;
 }
 
 Status CompletionQueue::wait_any(Completion& out, std::uint64_t timeout_ns) {
@@ -268,8 +335,11 @@ Status CompletionQueue::wait_any(Completion& out, std::uint64_t timeout_ns) {
 }
 
 std::size_t CompletionQueue::size() const {
+  // Pops first: the acquire pairs with popped()'s release, so the push
+  // count read next covers every push those pops consumed.
+  const std::uint64_t pops = popped_.load(std::memory_order_acquire);
   // relaxed-ok: a snapshot of the admission counter.
-  return count_.load(std::memory_order_relaxed);
+  return static_cast<std::size_t>(pushed_.load(std::memory_order_relaxed) - pops);
 }
 
 std::uint64_t CompletionQueue::overflows() const {

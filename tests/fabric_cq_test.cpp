@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -453,6 +455,320 @@ TEST(CompletionQueueLanes, LanesOutliveTheirThreads) {
     ++next[c.peer];
   }
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(next[t], kPerThread);
+}
+
+// Every field of a completion pushed by producer `p` as its k-th event,
+// derived from k so that a consumer can check a slot was read whole.
+Completion derived(Rank p, std::uint64_t k) {
+  Completion c;
+  c.wr_id = k;
+  c.imm = k * 0x9e3779b97f4a7c15ULL + p;
+  c.vtime = 1000 + k;
+  c.result = ~k ^ (std::uint64_t{p} << 56);
+  c.byte_len = static_cast<std::uint32_t>(k * 7 + p);
+  c.epoch = static_cast<std::uint32_t>(k ^ 0x5a5a5a5aU);
+  c.status = static_cast<Status>(k % kStatusCount);
+  c.op = static_cast<OpCode>(k % 8);
+  c.peer = p;
+  return c;
+}
+
+void expect_derived(const Completion& c) {
+  ASSERT_LT(c.peer, 2u);
+  const Completion want = derived(c.peer, c.wr_id);
+  EXPECT_EQ(c.imm, want.imm) << "wr " << c.wr_id;
+  EXPECT_EQ(c.vtime, want.vtime) << "wr " << c.wr_id;
+  EXPECT_EQ(c.result, want.result) << "wr " << c.wr_id;
+  EXPECT_EQ(c.byte_len, want.byte_len) << "wr " << c.wr_id;
+  EXPECT_EQ(c.epoch, want.epoch) << "wr " << c.wr_id;
+  EXPECT_EQ(c.status, want.status) << "wr " << c.wr_id;
+  EXPECT_EQ(c.op, want.op) << "wr " << c.wr_id;
+}
+
+// A slot's fields and its publication stamp share a cache line, and the
+// stamp is stored last: a consumer racing two producers must never see a
+// published slot with a field from before the write (a stale or zeroed
+// recycled slot), whichever poll it drains with.
+TEST(CompletionQueueLanes, PublishedSlotIsNeverSeenHalfWritten) {
+  constexpr std::uint64_t kPerProducer = 1000 * CompletionQueue::kSegmentSlots + 5;
+  constexpr std::size_t kDepth = 3 * CompletionQueue::kSegmentSlots;
+  CompletionQueue cq(kDepth);
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};  // set when the consumer gives up
+  std::vector<std::thread> producers;
+  for (Rank p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::uint64_t k = 0; k < kPerProducer && !stop.load();) {
+        if (cq.push(derived(p, k))) {
+          ++k;
+        } else {
+          std::this_thread::yield();  // full: the consumer clears the latch
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  std::uint64_t next[2] = {};
+  std::vector<Completion> batch(16);
+  std::uint64_t got = 0;
+  for (std::uint64_t round = 0; got < 2 * kPerProducer && !HasFailure(); ++round) {
+    std::size_t n = 0;
+    Status st;
+    if (round % 2 == 0) {
+      st = cq.poll_ready_batch(batch, n, ~std::uint64_t{0} >> 1);
+    } else {
+      st = cq.poll_min(batch[0]);
+      n = st == Status::Ok ? 1 : 0;
+    }
+    if (st == Status::QueueFull) cq.clear_overflow();
+    for (std::size_t i = 0; i < n && !HasFailure(); ++i) {
+      const Completion& c = batch[i];
+      expect_derived(c);
+      if (HasFailure()) break;
+      EXPECT_EQ(c.wr_id, next[c.peer]) << "producer " << c.peer;
+      ++next[c.peer];
+    }
+    got += n;
+  }
+  stop.store(true);
+  for (auto& t : producers) t.join();
+  if (!HasFailure()) {
+    EXPECT_EQ(cq.size(), 0u);
+  }
+}
+
+// A lane caches the pop count it last read. Filling to depth, draining
+// everything and filling again must accept every push: a lane that never
+// refreshed its cache would see the queue as still full.
+TEST(CompletionQueueLanes, AdmitsAFullDepthAgainAfterDrain) {
+  constexpr std::size_t kDepth = 2 * CompletionQueue::kSegmentSlots + 9;
+  CompletionQueue cq(kDepth);
+  Completion c;
+  std::uint64_t wr = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t i = 0; i < kDepth; ++i)
+      ASSERT_TRUE(cq.push(mk(wr++, 10))) << "round " << round << " push " << i;
+    EXPECT_EQ(cq.size(), kDepth);
+    EXPECT_FALSE(cq.push(mk(wr, 10)));
+    cq.clear_overflow();
+    for (std::size_t i = 0; i < kDepth; ++i) ASSERT_EQ(cq.poll_min(c), Status::Ok);
+    EXPECT_EQ(cq.size(), 0u);
+  }
+  EXPECT_EQ(cq.overflows(), 0u);
+}
+
+// Admission against a live consumer: three producers push into a shallow
+// queue while the consumer drains. Every attempt is either accepted or
+// counted as an overflow, the consumer never sees more than `depth`
+// pending, and at quiescence accepted == popped + size().
+TEST(CompletionQueueLanes, AdmissionBalancesAgainstALiveConsumer) {
+  constexpr int kProducers = 3;
+  constexpr std::uint64_t kAttempts = 20000;
+  constexpr std::size_t kDepth = 8;
+  CompletionQueue cq(kDepth);
+  std::atomic<bool> go{false};
+  std::atomic<int> running{kProducers};
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> rejected{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      std::uint64_t ok = 0;
+      for (std::uint64_t i = 0; i < kAttempts; ++i)
+        if (cq.push(mk(ok, i, static_cast<Rank>(p)))) ++ok;
+      accepted.fetch_add(ok);
+      rejected.fetch_add(kAttempts - ok);
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  std::uint64_t popped = 0;
+  std::size_t max_seen = 0;
+  std::vector<Completion> batch(4);
+  while (running.load(std::memory_order_acquire) != 0) {
+    max_seen = std::max(max_seen, cq.size());
+    std::size_t n = 0;
+    Status st = cq.poll_ready_batch(batch, n, ~std::uint64_t{0} >> 1);
+    if (st == Status::QueueFull) {
+      cq.clear_overflow();
+      continue;
+    }
+    popped += n;
+    if (st == Status::NotFound && cq.poll_min(batch[0]) == Status::Ok) ++popped;
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_LE(max_seen, kDepth);
+  EXPECT_EQ(accepted.load() + rejected.load(), kProducers * kAttempts);
+  EXPECT_EQ(accepted.load(), popped + cq.size());
+  EXPECT_LE(cq.size(), kDepth);
+  cq.clear_overflow();
+  Completion c;
+  while (cq.poll_min(c) == Status::Ok) ++popped;
+  EXPECT_EQ(popped, accepted.load());
+}
+
+// ---- reference model ----------------------------------------------------------
+
+// The queue's ordering contract, written the slow, obvious way: pending
+// events sorted on (vtime, push index), and a ready FIFO that is refilled
+// with every arrived pending event only once it is empty (the promotion
+// snapshot).
+class ReferenceCq {
+ public:
+  void push(std::uint64_t index, std::uint64_t vtime) {
+    const Item it{vtime, index};
+    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), it), it);
+  }
+  std::optional<std::uint64_t> poll_ready(std::uint64_t now) {
+    promote(now);
+    if (ready_.empty()) return std::nullopt;
+    const std::uint64_t idx = ready_.front().index;
+    ready_.pop_front();
+    return idx;
+  }
+  std::vector<std::uint64_t> poll_ready_batch(std::size_t cap, std::uint64_t now) {
+    std::vector<std::uint64_t> out;
+    while (out.size() < cap) {
+      promote(now);
+      if (ready_.empty()) break;
+      out.push_back(ready_.front().index);
+      ready_.pop_front();
+    }
+    return out;
+  }
+  std::optional<std::uint64_t> poll_min() {
+    const bool from_ready =
+        !ready_.empty() && (pending_.empty() || ready_.front() < pending_.front());
+    if (from_ready) {
+      const std::uint64_t idx = ready_.front().index;
+      ready_.pop_front();
+      return idx;
+    }
+    if (pending_.empty()) return std::nullopt;
+    const std::uint64_t idx = pending_.front().index;
+    pending_.erase(pending_.begin());
+    return idx;
+  }
+  std::optional<std::uint64_t> min_vtime() const {
+    std::optional<std::uint64_t> m;
+    if (!ready_.empty()) m = ready_.front().vtime;
+    if (!pending_.empty() && (!m || pending_.front().vtime < *m))  // vtime-ok: small test values
+      m = pending_.front().vtime;
+    return m;
+  }
+  std::size_t size() const { return ready_.size() + pending_.size(); }
+
+ private:
+  struct Item {
+    std::uint64_t vtime;
+    std::uint64_t index;
+    bool operator<(const Item& o) const {
+      return vtime != o.vtime ? vtime < o.vtime : index < o.index;  // vtime-ok
+    }
+  };
+  void promote(std::uint64_t now) {
+    if (!ready_.empty()) return;
+    while (!pending_.empty() && pending_.front().vtime <= now) {  // vtime-ok
+      ready_.push_back(pending_.front());
+      pending_.erase(pending_.begin());
+    }
+  }
+  std::vector<Item> pending_;
+  std::deque<Item> ready_;
+};
+
+// Randomized differential test against ReferenceCq. Phases alternate
+// push-heavy and poll-heavy mixes, so the in-order run fills past its
+// first capacity (growth), drains and refills across its end (wrap), and
+// out-of-order pushes land in the straggler heap beside it. Bursts pushed
+// from short-lived threads add lanes whose entries drain out of ticket
+// order. Every pop is compared by push index; size() and min_vtime() are
+// compared after every step.
+TEST(CompletionQueueVt, MatchesReferenceModelUnderRandomOps) {
+  util::Xoshiro256 rng(20261017);
+  CompletionQueue cq(1 << 16);
+  ReferenceCq ref;
+  std::uint64_t next_index = 0;
+  std::uint64_t frontier = 1000;  // the in-order producers' vtime
+  const auto next_vtime = [&] {
+    if (rng.below(8) == 0) return frontier - rng.below(900);  // straggler
+    frontier += rng.below(4) == 0 ? 0 : rng.below(20);        // ties too
+    return frontier;
+  };
+  const auto push_one = [&](std::uint64_t vt) {
+    ASSERT_TRUE(cq.push(mk(next_index, vt)));
+    ref.push(next_index++, vt);
+  };
+  std::vector<Completion> batch(24);
+  for (int phase = 0; phase < 60; ++phase) {
+    const std::uint64_t push_pct = phase % 3 == 0 ? 85 : phase % 3 == 1 ? 50 : 20;
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t now = frontier - 150 + rng.below(200);
+      const std::uint64_t roll = rng.below(100);
+      if (roll < push_pct) {
+        if (rng.below(64) == 0) {
+          // A burst from another thread: its own lane, admitted in order.
+          std::vector<std::uint64_t> vts(1 + rng.below(40));
+          for (auto& vt : vts) vt = next_vtime();
+          std::thread([&] {
+            for (const std::uint64_t vt : vts) ASSERT_TRUE(cq.push(mk(next_index++, vt)));
+          }).join();
+          for (std::uint64_t i = 0; i < vts.size(); ++i)
+            ref.push(next_index - vts.size() + i, vts[i]);
+        } else {
+          push_one(next_vtime());
+        }
+      } else {
+        Completion c;
+        switch (rng.below(4)) {
+          case 0: {
+            const auto want = ref.poll_ready(now);
+            const Status st = cq.poll_ready(c, now);
+            ASSERT_EQ(st == Status::Ok, want.has_value()) << "step " << step;
+            if (want) {
+              ASSERT_EQ(c.wr_id, *want);
+            }
+            break;
+          }
+          case 1: {
+            const std::size_t cap = 1 + rng.below(batch.size());
+            const auto want = ref.poll_ready_batch(cap, now);
+            std::size_t n = 0;
+            const Status st = cq.poll_ready_batch(
+                std::span<Completion>(batch.data(), cap), n, now);
+            ASSERT_EQ(st == Status::Ok, !want.empty());
+            ASSERT_EQ(n, want.size());
+            for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(batch[i].wr_id, want[i]);
+            break;
+          }
+          case 2: {
+            const auto want = ref.poll_min();
+            const Status st = cq.poll_min(c);
+            ASSERT_EQ(st == Status::Ok, want.has_value());
+            if (want) {
+              ASSERT_EQ(c.wr_id, *want);
+            }
+            break;
+          }
+          default:
+            ASSERT_EQ(cq.min_vtime(), ref.min_vtime());
+            break;
+        }
+      }
+      ASSERT_EQ(cq.size(), ref.size());
+      ASSERT_EQ(cq.min_vtime(), ref.min_vtime());
+    }
+  }
+  for (;;) {
+    const auto want = ref.poll_min();
+    Completion c;
+    const Status st = cq.poll_min(c);
+    ASSERT_EQ(st == Status::Ok, want.has_value());
+    if (!want) break;
+    ASSERT_EQ(c.wr_id, *want);
+  }
 }
 
 }  // namespace

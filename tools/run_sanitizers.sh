@@ -4,8 +4,10 @@
 #
 # address/undefined run the full ctest suite with PHOTON_CHECK=ON, so the
 # shadow-state checker itself is exercised under both runtimes. thread runs
-# the progress-path concurrency suites (the rest of the test matrix is
-# single-threaded-per-rank by construction and adds nothing but runtime);
+# the progress-path concurrency suites and the two-sided msg suites, whose
+# recv CQs take pushes from the owner and its peers at once (the rest of the
+# test matrix is single-threaded-per-rank by construction and adds nothing
+# but runtime);
 # tools/tsan.supp exempts the modeled RMA data-plane copies, which race by
 # design.
 #
@@ -37,7 +39,7 @@ for leg in "${legs[@]}"; do
       export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" ;;
     thread)
       export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 suppressions=$repo/tools/tsan.supp"
-      filter=(-R 'CompletionQueueVt|CompletionQueueLanes|RegistryConcurrency|NicTest.RecvCompletionPublishedOnlyAfterPayloadLands|NicCounterConservation|TwoCellRead.FirstCellIsReadBeforeTheSecond|DdsHashTableConcurrent|PhotonStress|FaultInjector|LatencyHistogram|MetricsRegistry|TelemetryEndToEnd|RecoverySoak') ;;
+      filter=(-R 'CompletionQueueVt|CompletionQueueLanes|RegistryConcurrency|NicTest.RecvCompletionPublishedOnlyAfterPayloadLands|NicCounterConservation|TwoCellRead.FirstCellIsReadBeforeTheSecond|DdsHashTableConcurrent|PhotonStress|FaultInjector|LatencyHistogram|MetricsRegistry|TelemetryEndToEnd|RecoverySoak|MsgEngine|MsgProperty') ;;
   esac
   if ctest --test-dir "$build" --output-on-failure "${filter[@]}" >/dev/null 2>&1; then
     echo "LEG $leg PASSED"

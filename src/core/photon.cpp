@@ -2,13 +2,12 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "check/hooks.hpp"
 #include "resilience/crc32c.hpp"
+#include "util/idle_wait.hpp"
 #include "util/log.hpp"
 #include "util/timing.hpp"
 
@@ -802,29 +801,8 @@ Status Photon::try_pool_get(OpKind kind, Rank src_rank, RemoteSlice cells,
 
 // ---- blocking wrappers ----------------------------------------------------------------
 
-void Photon::idle_pause(std::uint32_t& spins) {
-  ++spins;
-  if (spins < 64) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-}
-
 void Photon::idle_wait_step(std::uint32_t& spins) {
-  // Yield once before consuming a future event: on an oversubscribed host a
-  // lagging peer may be about to publish an *earlier* arrival, and jumping
-  // too eagerly would inflate this rank's virtual clock past it.
-  if (spins == 0) {
-    ++spins;
-    std::this_thread::yield();
-    return;
-  }
-  if (progress_jump()) {
-    spins = 0;
-    return;
-  }
-  idle_pause(spins);
+  util::idle_step(spins, [this] { return progress_jump(); });
 }
 
 namespace {

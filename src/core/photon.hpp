@@ -233,10 +233,10 @@ class Photon {
   /// false when nothing is pending. Use only when the rank has nothing
   /// better to do (wait loops call it automatically).
   bool progress_jump();
-  /// One iteration of an idle *wait*: yields once (a lagging peer may be
-  /// about to publish an earlier arrival), then jumps to the earliest
-  /// pending virtual event, then backs off. Used by all blocking loops;
-  /// public so layered waits (collectives, runtimes) share the discipline.
+  /// One iteration of an idle *wait*: util::idle_step over progress_jump
+  /// (yield once, then jump to the earliest pending virtual event, then
+  /// back off). Used by all blocking loops; public so layered waits
+  /// (collectives, runtimes) share the discipline.
   void idle_wait_step(std::uint32_t& spins);
   /// Next initiator-side completion (local ids), if any.
   std::optional<LocalComplete> probe_local();
@@ -468,9 +468,6 @@ class Photon {
 
   std::byte* slab_ptr(std::size_t off) { return slab_.data() + off; }
   const std::byte* slab_ptr(std::size_t off) const { return slab_.data() + off; }
-
-  /// One iteration of a blocking loop: progress, then yield/sleep when idle.
-  void idle_pause(std::uint32_t& spins);
 
   /// Shared body of the atomic try ops (kFadd/kCas/kSwap/kGet64/kGet64x2):
   /// validate, begin the shadow op, allocate the (always-signaled) op record

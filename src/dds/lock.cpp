@@ -4,8 +4,8 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <thread>
 
+#include "util/idle_wait.hpp"
 #include "util/timing.hpp"
 
 namespace photon::dds {
@@ -273,12 +273,15 @@ Status Lock::release_rma() {
     if (prior.value() == my_node()) return Status::Ok;  // no successor
     // A successor swapped in before our CAS: its put into our next cell is
     // on the way (data lands at its post; wait for the store to appear).
+    // Back off without jumping: this waits on a host-side store, not on a
+    // pending virtual arrival.
     util::Deadline dl(cfg_.op_timeout_ns);
+    std::uint32_t spins = 0;
     while ((next = std::atomic_ref<std::uint64_t>(cells_[kNextIdx])
                        .load(std::memory_order_acquire)) == 0) {
       if (dl.expired()) return Status::Timeout;
       svc_.progress();
-      std::this_thread::yield();
+      util::idle_backoff(spins);
     }
   }
   return ph.signal(static_cast<fabric::Rank>(next - 1), handoff_id_,

@@ -330,6 +330,7 @@ Status CompletionQueue::wait_any(Completion& out, std::uint64_t timeout_ns) {
     const Status st = poll_min(out);
     if (st != Status::NotFound) return st;
     if (std::chrono::steady_clock::now() >= deadline) return Status::NotFound;
+    // idle-ok: hot-path file, no sleeping here; poll_min already jumps.
     std::this_thread::yield();
   }
 }

@@ -1,14 +1,13 @@
 #include "msg/engine.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "check/hooks.hpp"
 #include "resilience/crc32c.hpp"
 #include "telemetry/hooks.hpp"
+#include "util/idle_wait.hpp"
 #include "util/log.hpp"
 #include "util/timing.hpp"
 
@@ -522,20 +521,7 @@ void Engine::progress() {
 }
 
 void Engine::idle_wait_step(std::uint32_t& spins) {
-  if (spins == 0) {
-    ++spins;
-    std::this_thread::yield();
-    return;
-  }
-  if (progress_jump()) {
-    spins = 0;
-    return;
-  }
-  ++spins;
-  if (spins >= 64)
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  else
-    std::this_thread::yield();
+  util::idle_step(spins, [this] { return progress_jump(); });
 }
 
 bool Engine::progress_jump() {

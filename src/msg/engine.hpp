@@ -105,7 +105,7 @@ class Engine {
   /// Idle-wait step: consume the earliest pending fabric completion even if
   /// its virtual arrival is in the future (jumps the clock). False if none.
   bool progress_jump();
-  /// One idle-wait iteration: yield once, then jump, then back off.
+  /// One idle-wait iteration: util::idle_step over progress_jump.
   void idle_wait_step(std::uint32_t& spins);
 
  private:

@@ -1,10 +1,10 @@
 #include "parcels/parcel_engine.hpp"
 
 #include <stdexcept>
-#include <thread>
 
 #include "fabric/nic.hpp"
 #include "telemetry/hooks.hpp"
+#include "util/idle_wait.hpp"
 #include "util/timing.hpp"
 
 namespace photon::parcels {
@@ -59,11 +59,7 @@ void ParcelEngine::send(fabric::Rank dst, HandlerId h,
     // Back-pressure relief may require dispatching inbound parcels (the
     // peer could be blocked on us) — but never reenter a running handler.
     if (!in_handler_) (void)progress();
-    ++spins;
-    if (spins >= 64)
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    else
-      std::this_thread::yield();
+    util::idle_backoff(spins);
   }
 }
 

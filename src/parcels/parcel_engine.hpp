@@ -7,12 +7,11 @@
 // use case.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <thread>
 
 #include "parcels/transport.hpp"
+#include "util/idle_wait.hpp"
 #include "util/timing.hpp"
 
 namespace photon::parcels {
@@ -76,21 +75,7 @@ bool ParcelEngine::run_until(Done&& done, std::uint64_t timeout_ns) {
   while (!done()) {
     if (progress() == 0) {
       if (timer.elapsed_ns() > deadline) return false;
-      // Yield before jumping so a lagging peer can publish earlier events.
-      if (spins == 0) {
-        ++spins;
-        std::this_thread::yield();
-        continue;
-      }
-      if (transport_.progress_jump()) {
-        spins = 0;
-        continue;
-      }
-      ++spins;
-      if (spins >= 64)
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      else
-        std::this_thread::yield();
+      util::idle_step(spins, [this] { return transport_.progress_jump(); });
     } else {
       spins = 0;
     }

@@ -107,6 +107,7 @@ void Watchdog::monitor_loop(fabric::Fabric* fab) {
 
   // relaxed-ok: running_ is a stop flag; join() in stop() orders teardown.
   while (running_.load(std::memory_order_relaxed)) {
+    // idle-ok: the monitor's own poll period, not a rank's wait loop.
     std::this_thread::sleep_for(std::chrono::milliseconds(cfg_.poll_ms));
     bool progressed = false;
     for (fabric::Rank r = 0; r < fab->size(); ++r) {

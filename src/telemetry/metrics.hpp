@@ -103,10 +103,9 @@ struct HistogramSnapshot {
   void merge(const HistogramSnapshot& o) noexcept;
 };
 
-/// Log2-bucketed histogram with an atomic record path. Same bucketing as
-/// util::Histogram (bucket 0 = value 0; bucket b covers [2^(b-1), 2^b - 1];
-/// values >= 2^62 land in the overflow bucket 63) but safe for concurrent
-/// recording from many rank threads.
+/// Log2-bucketed histogram with an atomic record path (bucket 0 = value 0;
+/// bucket b covers [2^(b-1), 2^b - 1]; values >= 2^62 land in the overflow
+/// bucket 63), safe for concurrent recording from many rank threads.
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = HistogramSnapshot::kBuckets;

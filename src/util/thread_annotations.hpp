@@ -19,7 +19,6 @@
 //                                      lookups take it only on a cache miss
 //   .  fabric::FaultInjector::mutex_   leaf
 //   .  telemetry::MetricsRegistry::mu_ leaf (metric hot paths are lock-free)
-//   .  util::SyncQueue::mutex_         leaf
 //
 // Unordered leaves may never be held simultaneously by one thread; the only
 // sanctioned nestings are 1->* and 2->3. fabric::CompletionQueue has no lock.

@@ -28,6 +28,7 @@ namespace photon::dds {
 namespace {
 
 using fabric::Rank;
+using photon::testing::abort_on_fatal_failure;
 using photon::testing::quiet_fabric;
 using runtime::Cluster;
 using runtime::Env;
@@ -49,7 +50,7 @@ class DdsHaHashTable : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(DdsHaHashTable, AckedInsertsSurvivePrimaryKill) {
   Cluster cluster(quiet_fabric(4));
-  cluster.run([&](Env& env) {
+  cluster.run(abort_on_fatal_failure([&](Env& env) {
     core::Photon ph(env.nic, env.bootstrap, core::Config{});
     Service svc(ph, env.bootstrap);
     HashTableConfig cfg;
@@ -95,7 +96,7 @@ TEST_P(DdsHaHashTable, AckedInsertsSurvivePrimaryKill) {
       }
     }
     env.bootstrap.barrier(env.rank);
-  });
+  }));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, DdsHaHashTable,
@@ -111,7 +112,7 @@ TEST(DdsHaQueue, FailoverConservesEveryAckedValue) {
   static std::vector<std::uint64_t> dequeued;
   dequeued.clear();
   Cluster cluster(quiet_fabric(4));
-  cluster.run([&](Env& env) {
+  cluster.run(abort_on_fatal_failure([&](Env& env) {
     core::Photon ph(env.nic, env.bootstrap, core::Config{});
     Service svc(ph, env.bootstrap);
     QueueConfig cfg;
@@ -167,7 +168,7 @@ TEST(DdsHaQueue, FailoverConservesEveryAckedValue) {
       EXPECT_EQ(dequeued, expected);
     }
     env.bootstrap.barrier(env.rank);
-  });
+  }));
 }
 
 // ---- lock failover keeps excluding -------------------------------------------
@@ -179,7 +180,7 @@ TEST(DdsHaLock, MutualExclusionHoldsAcrossFailover) {
   shared_count = 0;
   holders.store(0);
   Cluster cluster(quiet_fabric(4));
-  cluster.run([&](Env& env) {
+  cluster.run(abort_on_fatal_failure([&](Env& env) {
     core::Photon ph(env.nic, env.bootstrap, core::Config{});
     Service svc(ph, env.bootstrap);
     LockConfig cfg;
@@ -213,14 +214,14 @@ TEST(DdsHaLock, MutualExclusionHoldsAcrossFailover) {
                                            kRounds * (env.size - 1)));
     }
     env.bootstrap.barrier(env.rank);
-  });
+  }));
 }
 
 // ---- rejoin: re-replication makes the rejoiner a real backup again -----------
 
 TEST(DdsHaRejoin, StateTransferSurvivesSecondFailover) {
   Cluster cluster(quiet_fabric(4));
-  cluster.run([&](Env& env) {
+  cluster.run(abort_on_fatal_failure([&](Env& env) {
     core::Photon ph(env.nic, env.bootstrap, core::Config{});
     Service svc(ph, env.bootstrap);
     coll::Communicator comm(ph);
@@ -286,14 +287,14 @@ TEST(DdsHaRejoin, StateTransferSurvivesSecondFailover) {
       EXPECT_EQ(ht.find(mine).value(), 123u);
     }
     env.bootstrap.barrier(env.rank);
-  });
+  }));
 }
 
 // ---- HandlerRegistry::remove vs in-flight stragglers -------------------------
 
 TEST(DdsHaHandlerLifetime, DestroyWhileRequestsInFlightDropsStragglers) {
   Cluster cluster(quiet_fabric(2));
-  cluster.run([&](Env& env) {
+  cluster.run(abort_on_fatal_failure([&](Env& env) {
     core::Photon ph(env.nic, env.bootstrap, core::Config{});
     Service svc(ph, env.bootstrap);
     HashTableConfig cfg;
@@ -351,7 +352,7 @@ TEST(DdsHaHandlerLifetime, DestroyWhileRequestsInFlightDropsStragglers) {
     ASSERT_EQ(svc.fence(), Status::Ok);
     svc.engine().transport().quiesce(kWait);
     env.bootstrap.barrier(env.rank);
-  });
+  }));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // entry runs photon_lint with this directory as --root and asserts the
 // expected violation count. Never compiled.
 #include <atomic>
+#include <thread>
 
 void seeded_fixture(std::atomic<int>& a, unsigned long long vtime,
                     unsigned long long meta) {
@@ -10,4 +11,5 @@ void seeded_fixture(std::atomic<int>& a, unsigned long long vtime,
   if (vtime < 10) {                   // raw virtual-time comparison
     (void)(meta & 1u);                // direct ledger meta bit access
   }
+  std::this_thread::yield();          // hand-rolled idle wait
 }

@@ -1,9 +1,12 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -33,6 +36,18 @@ inline std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed = 7) {
   for (std::size_t i = 0; i < n; ++i)
     v[i] = static_cast<std::byte>((seed + i * 131) & 0xff);
   return v;
+}
+
+/// Wraps a Cluster::run rank body so a fatal assertion fails the section
+/// fast. ASSERT_* returns from the body without throwing, which leaves the
+/// rank's peers waiting in a bootstrap collective until the test timeout;
+/// aborting the bootstrap makes their collectives throw instead.
+template <typename Body>
+auto abort_on_fatal_failure(Body body) {
+  return [body = std::move(body)](runtime::Env& env) {
+    body(env);
+    if (::testing::Test::HasFatalFailure()) env.bootstrap.abort();
+  };
 }
 
 }  // namespace photon::testing

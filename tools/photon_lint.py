@@ -23,6 +23,11 @@ thread-safety analysis leg is unavailable):
                        reached only as `.counters_.from(rank_)` (the calling
                        rank's own slot), and no slot but `from(rank_)` is
                        written.
+  idle-wait-copy       in src/, blocking loops wait through the one idle-wait
+                       rule in util/idle_wait.hpp: a this_thread::yield,
+                       sleep_for or sleep_until anywhere else is flagged
+                       unless it carries an `idle-ok:` justification on the
+                       same line or the line above.
 
 Usage:
   tools/photon_lint.py [--root DIR] [--format text|json]
@@ -53,7 +58,6 @@ CLASS_WINDOW = 60   # lines a `relaxed-ok (whole class)` block comment covers
 # Headers that advertise lock-freedom / hot-path status; blocking calls in
 # these files are a design regression, not a style nit.
 HOT_PATH_FILES = {
-    "src/util/spsc_ring.hpp",
     "src/fabric/vclock.hpp",
     "src/fabric/counters.hpp",
     # Every put, put-imm, signal and poll crosses ranks through the CQ's
@@ -81,6 +85,9 @@ HOT_PATH_FILES = {
 
 # The one place allowed to touch ledger meta bits directly.
 META_ACCESSOR_FILE = "src/core/wire_format.hpp"
+
+# The one place allowed to yield or sleep in a wait loop.
+IDLE_WAIT_FILE = "src/util/idle_wait.hpp"
 
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 RELAXED_OK_RE = re.compile(r"relaxed-ok")
@@ -118,12 +125,16 @@ FOREIGN_COUNTERS_RE = re.compile(
 )
 OTHER_SLOT_RE = re.compile(r"\bcounters_\s*\.\s*from\(\s*(?!rank_\s*\))")
 
+IDLE_WAIT_RE = re.compile(r"\bthis_thread::yield\b|\bsleep_for\b|\bsleep_until\b")
+IDLE_OK_RE = re.compile(r"idle-ok:")
+
 ALL_RULES = (
     "relaxed-justify",
     "vtime-compare",
     "hot-path-blocking",
     "ledger-meta-accessor",
     "foreign-nic-state",
+    "idle-wait-copy",
 )
 
 
@@ -228,6 +239,20 @@ def lint_file(relpath: str, text: str, rules, allow):
                 i,
                 "another NIC's owner-only counters reached directly; write "
                 "through the calling rank's slot, `target.counters_.from(rank_)`",
+            )
+
+        if (
+            "idle-wait-copy" in rules
+            and relpath.startswith("src/")
+            and relpath != IDLE_WAIT_FILE
+            and IDLE_WAIT_RE.search(code)
+            and not any(IDLE_OK_RE.search(l) for l in lines[max(0, i - 2) : i])
+        ):
+            emit(
+                "idle-wait-copy",
+                i,
+                "yield/sleep outside the idle-wait rule; call util::idle_step "
+                "or util::idle_backoff (or annotate `idle-ok:` with a reason)",
             )
 
     return findings

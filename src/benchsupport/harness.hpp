@@ -19,46 +19,12 @@
 
 namespace photon::benchsupport {
 
-/// Process-wide accumulation of reliable-delivery counters across every
-/// fabric run_spmd_vtime constructs (each experiment tears its fabric down,
-/// so per-run totals are folded in here for end-of-bench reporting). This
-/// struct is the raw backing store; register_bench_probes() exposes it in
-/// the metrics registry as "bench.resilience.*" snapshot columns.
-inline fabric::Fabric::ResilienceTotals& resilience_accum() {
-  static fabric::Fabric::ResilienceTotals t;
-  return t;
-}
-
-/// Expose resilience_accum() and friends as registry probes (idempotent;
-/// BenchReport calls this). The probes read the raw accumulator at snapshot
-/// time, so the registry is a view, not a copy.
-inline void register_bench_probes() {
-  static bool registered = false;
-  if (registered) return;
-  registered = true;
-  auto& reg = telemetry::MetricsRegistry::process();
-  auto& acc = resilience_accum();
-  reg.register_probe(&acc, "bench.resilience.retransmits",
-                     [&acc] { return acc.retransmits; });
-  reg.register_probe(&acc, "bench.resilience.crc_rejects",
-                     [&acc] { return acc.crc_rejects; });
-  reg.register_probe(&acc, "bench.resilience.dup_suppressed",
-                     [&acc] { return acc.dup_suppressed; });
-  reg.register_probe(&acc, "bench.resilience.wire_faults_fired",
-                     [&acc] { return acc.wire_faults_fired; });
-  reg.register_probe(&acc, "bench.resilience.op_timeouts",
-                     [&acc] { return acc.op_timeouts; });
-  reg.register_probe(&acc, "bench.resilience.recoveries",
-                     [&acc] { return acc.recoveries; });
-  reg.register_probe(&acc, "bench.resilience.stale_epoch_drops",
-                     [&acc] { return acc.stale_epoch_drops; });
-}
-
 /// Run `body` SPMD on a fresh cluster; returns the maximum virtual-clock
 /// value across ranks at the end (clocks start at zero). The per-run virtual
 /// time also accumulates into the registry counter "bench.vtime_ns" (the
 /// denominator of every BENCH_*.json ops/s figure), and the fabric's own
-/// counters fold into the registry when its destructor runs at scope exit.
+/// counters fold into the registry when its destructor runs at scope exit —
+/// the "fabric.*" totals BenchReport and print_resilience_table() read.
 inline std::uint64_t run_spmd_vtime(
     const fabric::FabricConfig& fcfg,
     const std::function<void(runtime::Env&)>& body) {
@@ -67,15 +33,6 @@ inline std::uint64_t run_spmd_vtime(
   std::uint64_t vt = 0;
   for (fabric::Rank r = 0; r < cluster.size(); ++r)
     vt = std::max(vt, cluster.fabric().nic(r).clock().now());
-  const auto rt = cluster.fabric().resilience_totals();
-  auto& acc = resilience_accum();
-  acc.retransmits += rt.retransmits;
-  acc.crc_rejects += rt.crc_rejects;
-  acc.dup_suppressed += rt.dup_suppressed;
-  acc.wire_faults_fired += rt.wire_faults_fired;
-  acc.op_timeouts += rt.op_timeouts;
-  acc.recoveries += rt.recoveries;
-  acc.stale_epoch_drops += rt.stale_epoch_drops;
   auto& reg = telemetry::MetricsRegistry::process();
   if (reg.enabled()) reg.counter("bench.vtime_ns").add(vt);
   return vt;
@@ -112,21 +69,25 @@ inline double mops(std::uint64_t ops, std::uint64_t ns) {
   return static_cast<double>(ops) / (static_cast<double>(ns) / 1e9) / 1e6;
 }
 
-/// Print the accumulated reliable-delivery counters when anything fired —
-/// a lossy-wire run (PHOTON_WIRE_* env) shows how much retransmission /
-/// backoff the reported numbers absorbed; a clean run prints nothing.
-/// Reads the raw accumulator (same numbers as the registry's
-/// "bench.resilience.*" probe columns and BENCH_*.json "resilience").
+/// Print the reliable-delivery counters when anything fired — a lossy-wire
+/// run (PHOTON_WIRE_* env) shows how much retransmission / backoff the
+/// reported numbers absorbed; a clean run prints nothing. Reads the
+/// "fabric.*" totals every fabric folds into the process registry at
+/// teardown (the same numbers as BENCH_*.json "resilience").
 inline void print_resilience_table() {
-  const auto& t = resilience_accum();
-  if (t.wire_faults_fired == 0 && t.retransmits == 0 && t.op_timeouts == 0)
+  const telemetry::Snapshot s = telemetry::MetricsRegistry::process().snapshot();
+  const auto c = [&s](const char* name) {
+    return std::to_string(s.counter_or(std::string("fabric.") + name, 0));
+  };
+  if (s.counter_or("fabric.wire_faults_fired", 0) == 0 &&
+      s.counter_or("fabric.retransmits", 0) == 0 &&
+      s.counter_or("fabric.op_timeouts", 0) == 0)
     return;
   Table tbl("Reliable delivery (accumulated fabric totals)");
   tbl.columns({"faults fired", "retransmits", "crc rejects", "dups suppressed",
                "op timeouts"});
-  tbl.row({std::to_string(t.wire_faults_fired), std::to_string(t.retransmits),
-           std::to_string(t.crc_rejects), std::to_string(t.dup_suppressed),
-           std::to_string(t.op_timeouts)});
+  tbl.row({c("wire_faults_fired"), c("retransmits"), c("crc_rejects"),
+           c("dup_suppressed"), c("op_timeouts")});
   tbl.print();
 }
 

@@ -3,8 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "benchsupport/harness.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/hooks.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 
@@ -44,7 +43,6 @@ BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
     auto& reg = telemetry::MetricsRegistry::process();
     reg.reset();
     reg.set_enabled(true);
-    register_bench_probes();
   }
 }
 
@@ -103,15 +101,12 @@ std::string BenchReport::to_json() const {
   emit_hist(w, "remote", s.merged_histogram("photon.vlat.remote."));
   w.end_object();
 
-  const auto& rt = resilience_accum();
+  // Reliable-delivery totals, as every fabric folded them at teardown.
   w.key("resilience").begin_object();
-  w.key("retransmits").value(rt.retransmits);
-  w.key("crc_rejects").value(rt.crc_rejects);
-  w.key("dup_suppressed").value(rt.dup_suppressed);
-  w.key("wire_faults_fired").value(rt.wire_faults_fired);
-  w.key("op_timeouts").value(rt.op_timeouts);
-  w.key("recoveries").value(rt.recoveries);
-  w.key("stale_epoch_drops").value(rt.stale_epoch_drops);
+  for (const char* k : {"retransmits", "crc_rejects", "dup_suppressed",
+                        "wire_faults_fired", "op_timeouts", "recoveries",
+                        "stale_epoch_drops"})
+    w.key(k).value(s.counter_or(std::string("fabric.") + k, 0));
   w.end_object();
 
   w.key("metrics").begin_object();

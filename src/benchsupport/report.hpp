@@ -12,7 +12,8 @@
 //   * ops_per_sec— ops over accumulated *virtual* seconds (deterministic)
 //   * vlat.local / vlat.remote — p50/p99/p999/mean over all per-(op,peer)
 //     virtual-latency series (deterministic)
-//   * resilience — retransmits / crc rejects / dups / faults / timeouts
+//   * resilience — retransmits / crc rejects / dups / faults / timeouts /
+//     recoveries / stale-epoch drops, read from the "fabric.*" counters
 //   * config     — fingerprint of compiled features + wire-fault env
 //   * metrics    — bench-specific scalars added via metric() (wall-clock
 //     values go here; tools/perf_gate.sh gates them loosely or not at all)

@@ -124,25 +124,18 @@ Status Communicator::rejoin(Rank r) {
 }
 
 Communicator::~Communicator() {
-  PHOTON_TELEM_HOOK({
-    telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::process();
-    if (reg.enabled()) {
-      auto add = [&reg](const char* name, std::uint64_t v) {
-        if (v != 0) reg.counter(std::string("coll.") + name).add(v);
-      };
-      add("barriers", stats_.barriers);
-      add("broadcasts", stats_.broadcasts);
-      add("reductions", stats_.reductions);
-      add("allgathers", stats_.allgathers);
-      add("alltoalls", stats_.alltoalls);
-      add("gathers", stats_.gathers);
-      add("scatters", stats_.scatters);
-      add("blocks_sent", stats_.blocks_sent);
-      add("block_bytes_sent", stats_.block_bytes_sent);
-      add("flags_sent", stats_.flags_sent);
-      add("foreign_events", stats_.foreign_events);
-    }
-  });
+  PHOTON_TELEM_HOOK(telemetry::MetricsRegistry::process().fold(
+      "coll.", {{"barriers", stats_.barriers},
+                {"broadcasts", stats_.broadcasts},
+                {"reductions", stats_.reductions},
+                {"allgathers", stats_.allgathers},
+                {"alltoalls", stats_.alltoalls},
+                {"gathers", stats_.gathers},
+                {"scatters", stats_.scatters},
+                {"blocks_sent", stats_.blocks_sent},
+                {"block_bytes_sent", stats_.block_bytes_sent},
+                {"flags_sent", stats_.flags_sent},
+                {"foreign_events", stats_.foreign_events}}));
 }
 
 std::uint64_t Communicator::block_id(std::uint32_t round, std::uint32_t chunk,

@@ -105,26 +105,22 @@ void Photon::fold_stats() const {
   telemetry::MetricsRegistry& reg = cfg_.metrics != nullptr
                                         ? *cfg_.metrics
                                         : telemetry::MetricsRegistry::process();
-  if (!reg.enabled()) return;
-  auto add = [&reg](const char* name, std::uint64_t v) {
-    if (v != 0) reg.counter(std::string("core.") + name).add(v);
-  };
-  add("eager_sent", stats_.eager_sent);
-  add("eager_bytes", stats_.eager_bytes);
-  add("direct_puts", stats_.direct_puts);
-  add("gets", stats_.gets);
-  add("signals", stats_.signals);
-  add("atomics", stats_.atomics);
-  add("pads", stats_.pads);
-  add("credit_returns", stats_.credit_returns);
-  add("credit_stalls", stats_.credit_stalls);
-  add("ledger_stalls", stats_.ledger_stalls);
-  add("events_delivered", stats_.events_delivered);
-  add("local_completions", stats_.local_completions);
-  add("adverts_sent", stats_.adverts_sent);
-  add("fins_sent", stats_.fins_sent);
-  add("op_errors", stats_.op_errors);
-  add("shard_naks", stats_.shard_naks);
+  reg.fold("core.", {{"eager_sent", stats_.eager_sent},
+                    {"eager_bytes", stats_.eager_bytes},
+                    {"direct_puts", stats_.direct_puts},
+                    {"gets", stats_.gets},
+                    {"signals", stats_.signals},
+                    {"atomics", stats_.atomics},
+                    {"pads", stats_.pads},
+                    {"credit_returns", stats_.credit_returns},
+                    {"credit_stalls", stats_.credit_stalls},
+                    {"ledger_stalls", stats_.ledger_stalls},
+                    {"events_delivered", stats_.events_delivered},
+                    {"local_completions", stats_.local_completions},
+                    {"adverts_sent", stats_.adverts_sent},
+                    {"fins_sent", stats_.fins_sent},
+                    {"op_errors", stats_.op_errors},
+                    {"shard_naks", stats_.shard_naks}});
 }
 
 // ---- registration ----------------------------------------------------------------
@@ -279,7 +275,6 @@ Status Photon::eager_send(Rank dst, MsgKind kind, std::uint64_t id,
   const std::size_t pad = (pos + footprint > R) ? (R - pos) : 0;
   if (ring_outstanding(dst) + pad + footprint > R) {
     ++stats_.credit_stalls;
-    trace(util::TraceKind::kStall, dst, static_cast<std::uint32_t>(footprint), 0);
     return Status::Retry;
   }
   if (!fabric_headroom(dst, 2)) return Status::QueueFull;
@@ -349,8 +344,6 @@ Status Photon::eager_send(Rank dst, MsgKind kind, std::uint64_t id,
   if (kind == MsgKind::kUser) {
     ++stats_.eager_sent;
     stats_.eager_bytes += payload.size();
-    trace(util::TraceKind::kEagerSend, dst,
-          static_cast<std::uint32_t>(payload.size()), id);
   }
   return Status::Ok;
 }
@@ -405,7 +398,6 @@ Status Photon::ledger_signal(Rank dst, std::uint64_t id, bool from_get,
   }
   ++ss.ledger_head;
   ++stats_.signals;
-  trace(util::TraceKind::kSignal, dst, 0, id);
   return Status::Ok;
 }
 
@@ -472,8 +464,6 @@ Status Photon::try_put_with_completion(Rank dst, LocalSlice src,
   }
   PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
   ++stats_.direct_puts;
-  trace(util::TraceKind::kPut, dst, static_cast<std::uint32_t>(src.len),
-        remote_id.value_or(0));
   if (remote_id) {
     // Slot availability was checked above; headroom was reserved.
     // Chained onto the payload WR: one doorbell posts both (verbs WR list).
@@ -573,8 +563,6 @@ Status Photon::try_get_with_completion(Rank src_rank, LocalMutSlice dst,
   }
   PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
   ++stats_.gets;
-  trace(util::TraceKind::kGet, src_rank, static_cast<std::uint32_t>(dst.len),
-        remote_id.value_or(0));
   return Status::Ok;
 }
 
@@ -1189,7 +1177,6 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
       if (rec.has_local_id) {
         local_q_.push_back({rec.local_id, rec.peer});
         ++stats_.local_completions;
-        trace(util::TraceKind::kLocalDone, rec.peer, c.byte_len, rec.local_id);
       }
       break;
     case OpKind::kGwc:
@@ -1221,7 +1208,6 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
       if (rec.has_local_id) {
         local_q_.push_back({rec.local_id, rec.peer, c.result, Status::Ok});
         ++stats_.local_completions;
-        trace(util::TraceKind::kLocalDone, rec.peer, 8, rec.local_id);
       }
       break;
     case OpKind::kGet64:
@@ -1234,8 +1220,6 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
       if (rec.has_local_id) {
         local_q_.push_back({rec.local_id, rec.peer, v[0], Status::Ok, v[1]});
         ++stats_.local_completions;
-        trace(util::TraceKind::kLocalDone, rec.peer,
-              static_cast<std::uint32_t>(len), rec.local_id);
       }
       break;
     }
@@ -1321,7 +1305,6 @@ void Photon::consume_eager(Rank src, [[maybe_unused]] std::uint64_t post_vt,
       ev.payload.assign(body, body + h.size);
       clock().add(static_cast<std::uint64_t>(static_cast<double>(h.size) *
                                              cfg_.eager_copy_per_byte_ns));
-      trace(util::TraceKind::kRemoteEvent, src, h.size, ev.id);
       // Each kEager completion delivers exactly one non-pad message, in
       // order, so this completion's imm-carried post vtime is this
       // message's post vtime.
@@ -1375,7 +1358,6 @@ void Photon::consume_ledger(Rank src, std::uint64_t slot,
     oplat_.record_remote(oc, src,
                          sat_sub(deliver_vt, ledger_meta_vtime(e.meta)));
   });
-  trace(util::TraceKind::kRemoteEvent, src, 0, ev.id);
   event_q_.push_back(std::move(ev));
   ++stats_.events_delivered;
   ++rs.ledger_tail;

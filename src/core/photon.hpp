@@ -48,7 +48,6 @@
 #include "telemetry/hooks.hpp"
 #include "telemetry/oplat.hpp"
 #include "util/expected.hpp"
-#include "util/trace.hpp"
 
 namespace photon::core {
 
@@ -91,11 +90,6 @@ class Photon {
   fabric::Nic& nic() noexcept { return nic_; }
   const CoreStats& stats() const noexcept { return stats_; }
   fabric::VClock& clock() noexcept { return nic_.clock(); }
-
-  /// Attach (or detach with nullptr) a virtual-time tracer. The tracer is
-  /// owned by the caller and must outlive its attachment; single-threaded
-  /// like the Photon object itself.
-  void set_tracer(util::Tracer* t) noexcept { tracer_ = t; }
 
   // ---- registration --------------------------------------------------------
   util::Result<BufferDescriptor> register_buffer(void* addr, std::size_t len);
@@ -516,12 +510,6 @@ class Photon {
   /// rx (the peer's fences toward me; see handle_recv_event).
   std::vector<std::uint32_t> tx_epoch_seen_;
   std::vector<std::uint32_t> rx_epoch_seen_;
-
-  util::Tracer* tracer_ = nullptr;
-  void trace(util::TraceKind kind, fabric::Rank peer, std::uint32_t bytes,
-             std::uint64_t id) {
-    if (tracer_ != nullptr) tracer_->record(clock().now(), kind, peer, bytes, id);
-  }
 
   /// Per-(op class, peer) virtual-latency recorder, bound to cfg_.metrics
   /// (or the process registry) at construction. Clocks can rewind to zero

@@ -9,6 +9,9 @@
 //              injection rate, comparable bandwidth
 //   * sockets — kernel TCP loopback-class: tens-of-microseconds latency,
 //              high per-message CPU cost, ~1 GB/s
+//
+// test-only-ok: the backend calibrations DESIGN.md names; core_api_test and
+// wire_invariants_test pin their ordering.
 #pragma once
 
 #include <stdexcept>

@@ -1,7 +1,6 @@
 #include "fabric/fabric.hpp"
 
 #include <cstdlib>
-#include <string>
 
 namespace photon::fabric {
 
@@ -30,42 +29,29 @@ Fabric::Fabric(const FabricConfig& cfg)
 Fabric::~Fabric() { fold_metrics(telemetry::MetricsRegistry::process()); }
 
 void Fabric::fold_metrics(telemetry::MetricsRegistry& reg) const {
-  if (!reg.enabled()) return;
   std::uint64_t faults_fired = 0;
   std::uint64_t cq_overflows = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t stale_drops = 0;
   for (const auto& n : nics_) {
     n->counters().for_each([&reg](const char* name, std::uint64_t v) {
-      if (v != 0) reg.counter(std::string("fabric.") + name).add(v);
+      reg.fold("fabric.", {{name, v}});
     });
     faults_fired += n->faults().fired();
     cq_overflows += n->send_cq().overflows() + n->recv_cq().overflows();
-    const Counters& c = n->counters();
-    // relaxed-ok: monotonic statistics folded for reporting only.
-    recoveries += c.recoveries.load(std::memory_order_relaxed);
-    stale_drops += c.stale_epoch_drops.load(std::memory_order_relaxed);
   }
-  if (faults_fired != 0) reg.counter("fabric.wire_faults_fired").add(faults_fired);
+  // cq.overflows is the sticky QueueFull state: nonzero means a CQ
+  // overflowed and poll returns QueueFull.
+  reg.fold("fabric.", {{"wire_faults_fired", faults_fired},
+                       {"cq.overflows", cq_overflows}});
   // Per-plane injector breakdown under its own `fault.*` namespace, so soak
   // and chaos BENCH_*.json reports show injected-vs-survived totals.
   const FaultInjector::FiredCounts fc = fault_totals();
-  if (fc.post_failures != 0) reg.counter("fault.post_failures").add(fc.post_failures);
-  if (fc.drops != 0) reg.counter("fault.drops").add(fc.drops);
-  if (fc.ack_drops != 0) reg.counter("fault.ack_drops").add(fc.ack_drops);
-  if (fc.corruptions != 0) reg.counter("fault.corruptions").add(fc.corruptions);
-  if (fc.delays != 0) reg.counter("fault.delays").add(fc.delays);
-  if (fc.link_down_stalls != 0)
-    reg.counter("fault.link_down_stalls").add(fc.link_down_stalls);
-  if (fc.total() != 0) reg.counter("fault.injected_total").add(fc.total());
-  // The sticky QueueFull state, visible in snapshots (satellite of the
-  // recovery PR): nonzero means a CQ overflowed and poll returns QueueFull.
-  if (cq_overflows != 0) reg.counter("fabric.cq.overflows").add(cq_overflows);
-  // Recovery totals also surface under the resilience.* namespace used by
-  // the bench reports, so BENCH_*.json and perf_gate see them directly.
-  if (recoveries != 0) reg.counter("resilience.recoveries").add(recoveries);
-  if (stale_drops != 0)
-    reg.counter("resilience.stale_epoch_drops").add(stale_drops);
+  reg.fold("fault.", {{"post_failures", fc.post_failures},
+                      {"drops", fc.drops},
+                      {"ack_drops", fc.ack_drops},
+                      {"corruptions", fc.corruptions},
+                      {"delays", fc.delays},
+                      {"link_down_stalls", fc.link_down_stalls},
+                      {"injected_total", fc.total()}});
 }
 
 void Fabric::apply_env_wire_faults() {
@@ -103,30 +89,6 @@ void Fabric::revive(Rank r) {
     if (i == r) continue;
     nics_[i]->faults().clear_link_windows(r);
   }
-}
-
-std::uint64_t Fabric::total_bytes_moved() const {
-  std::uint64_t total = 0;
-  // relaxed-ok: monotonic statistic read for reporting only.
-  for (const auto& n : nics_)
-    total += n->counters().bytes_out.load(std::memory_order_relaxed);
-  return total;
-}
-
-Fabric::ResilienceTotals Fabric::resilience_totals() const {
-  ResilienceTotals t;
-  for (const auto& n : nics_) {
-    const Counters& c = n->counters();
-    // relaxed-ok: monotonic statistics folded for reporting only.
-    t.retransmits += c.retransmits.load(std::memory_order_relaxed);
-    t.crc_rejects += c.crc_rejects.load(std::memory_order_relaxed);
-    t.dup_suppressed += c.dup_suppressed.load(std::memory_order_relaxed);
-    t.op_timeouts += c.op_timeouts.load(std::memory_order_relaxed);
-    t.wire_faults_fired += n->faults().fired();
-    t.recoveries += c.recoveries.load(std::memory_order_relaxed);
-    t.stale_epoch_drops += c.stale_epoch_drops.load(std::memory_order_relaxed);
-  }
-  return t;
 }
 
 FaultInjector::FiredCounts Fabric::fault_totals() const {

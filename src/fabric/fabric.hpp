@@ -53,27 +53,13 @@ class Fabric {
   /// NicConfig::auto_recover is set). Callable from any thread.
   void revive(Rank r);
 
-  /// Aggregate byte/op totals across all NICs (reporting).
-  std::uint64_t total_bytes_moved() const;
-
-  /// Sum of the reliable-delivery counters across all NICs (reporting).
-  struct ResilienceTotals {
-    std::uint64_t retransmits = 0;
-    std::uint64_t crc_rejects = 0;
-    std::uint64_t dup_suppressed = 0;
-    std::uint64_t wire_faults_fired = 0;
-    std::uint64_t op_timeouts = 0;
-    std::uint64_t recoveries = 0;         ///< epoch fences completed
-    std::uint64_t stale_epoch_drops = 0;  ///< pre-fence frames discarded
-  };
-  ResilienceTotals resilience_totals() const;
-
   /// Per-plane fault-injector totals summed across all NICs (reporting).
   FaultInjector::FiredCounts fault_totals() const;
 
   /// Add every NIC counter (summed across ranks, "fabric.<counter>"), the
-  /// fault-injector firing total ("fabric.wire_faults_fired"), and the
-  /// per-plane injector breakdown ("fault.drops", "fault.ack_drops",
+  /// fault-injector firing total ("fabric.wire_faults_fired"), the CQ
+  /// overflow count ("fabric.cq.overflows"), and the per-plane injector
+  /// breakdown ("fault.drops", "fault.ack_drops",
   /// "fault.corruptions", "fault.delays", "fault.link_down_stalls",
   /// "fault.post_failures", "fault.injected_total") into `reg`. No-op when
   /// the registry is disabled. Called automatically at destruction against

@@ -909,9 +909,6 @@ Status Nic::jump_recv(Completion& out) {
 Status Nic::wait_send(Completion& out, std::uint64_t timeout_ns) {
   return consume(send_cq_, out, ConsumeMode::kBlockJump, timeout_ns);
 }
-Status Nic::wait_recv(Completion& out, std::uint64_t timeout_ns) {
-  return consume(recv_cq_, out, ConsumeMode::kBlockJump, timeout_ns);
-}
 
 std::size_t Nic::in_flight(Rank peer) const {
   // relaxed-ok: introspection read of the admission counter.

@@ -204,9 +204,8 @@ class Nic {
   /// (LogGOPSim semantics for a blocked rank). Non-blocking in real time.
   Status jump_send(Completion& out);
   Status jump_recv(Completion& out);
-  /// Blocking variants (real-time timeout); jump semantics.
+  /// Blocking variant (real-time timeout); jump semantics.
   Status wait_send(Completion& out, std::uint64_t timeout_ns);
-  Status wait_recv(Completion& out, std::uint64_t timeout_ns);
 
   std::size_t in_flight(Rank peer) const;
   std::size_t posted_recvs() const;

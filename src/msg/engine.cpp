@@ -47,20 +47,16 @@ Engine::~Engine() {
 }
 
 void Engine::fold_stats() const {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::process();
-  if (!reg.enabled()) return;
-  auto add = [&reg](const char* name, std::uint64_t v) {
-    if (v != 0) reg.counter(std::string("msg.") + name).add(v);
-  };
-  add("eager_sends", stats_.eager_sends);
-  add("rndv_sends", stats_.rndv_sends);
-  add("recvs_completed", stats_.recvs_completed);
-  add("expected_hits", stats_.expected_hits);
-  add("unexpected_hits", stats_.unexpected_hits);
-  add("credit_acks", stats_.credit_acks);
-  add("credit_stalls", stats_.credit_stalls);
-  add("bytes_sent", stats_.bytes_sent);
-  add("registrations", stats_.registrations);
+  telemetry::MetricsRegistry::process().fold(
+      "msg.", {{"eager_sends", stats_.eager_sends},
+               {"rndv_sends", stats_.rndv_sends},
+               {"recvs_completed", stats_.recvs_completed},
+               {"expected_hits", stats_.expected_hits},
+               {"unexpected_hits", stats_.unexpected_hits},
+               {"credit_acks", stats_.credit_acks},
+               {"credit_stalls", stats_.credit_stalls},
+               {"bytes_sent", stats_.bytes_sent},
+               {"registrations", stats_.registrations}});
 }
 
 void Engine::repost_bounce(std::size_t slot) {

@@ -26,17 +26,10 @@ ParcelEngine::ParcelEngine(Transport& transport, HandlerRegistry& registry,
     : transport_(transport), registry_(registry), cfg_(cfg) {}
 
 ParcelEngine::~ParcelEngine() {
-  PHOTON_TELEM_HOOK({
-    telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::process();
-    if (reg.enabled()) {
-      auto add = [&reg](const char* name, std::uint64_t v) {
-        if (v != 0) reg.counter(std::string("parcels.") + name).add(v);
-      };
-      add("sent", stats_.sent);
-      add("dispatched", stats_.dispatched);
-      add("send_retries", stats_.send_retries);
-    }
-  });
+  PHOTON_TELEM_HOOK(telemetry::MetricsRegistry::process().fold(
+      "parcels.", {{"sent", stats_.sent},
+                   {"dispatched", stats_.dispatched},
+                   {"send_retries", stats_.send_retries}}));
 }
 
 void ParcelEngine::send(fabric::Rank dst, HandlerId h,

@@ -161,15 +161,17 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
   return *it->second;
 }
 
-void MetricsRegistry::register_probe(const void* owner, std::string_view name,
-                                     std::function<std::uint64_t()> read) {
-  util::LockGuard lock(mu_);
-  probes_.push_back({owner, std::string(name), std::move(read)});
-}
-
-void MetricsRegistry::unregister_probes(const void* owner) {
-  util::LockGuard lock(mu_);
-  std::erase_if(probes_, [owner](const Probe& p) { return p.owner == owner; });
+void MetricsRegistry::fold(
+    std::string_view prefix,
+    std::initializer_list<std::pair<std::string_view, std::uint64_t>> stats) {
+  if (!enabled()) return;
+  std::string name(prefix);
+  for (const auto& [stat, v] : stats) {
+    if (v == 0) continue;
+    name.resize(prefix.size());
+    name += stat;
+    counter(name).add(v);
+  }
 }
 
 Snapshot MetricsRegistry::snapshot() const {
@@ -178,7 +180,6 @@ Snapshot MetricsRegistry::snapshot() const {
   for (const auto& [k, c] : counters_) s.counters[k] = c->get();
   for (const auto& [k, g] : gauges_) s.gauges[k] = g->get();
   for (const auto& [k, h] : hists_) s.histograms[k] = h->snapshot();
-  for (const auto& p : probes_) s.counters[p.name] += p.read();
   return s;
 }
 

@@ -28,12 +28,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "util/mutex.hpp"
 
@@ -188,26 +188,19 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   LatencyHistogram& histogram(std::string_view name);
 
-  /// Register a snapshot-time probe: `read` is invoked on every snapshot()
-  /// and its value *added* to the named counter column (multiple probes may
-  /// share one name — e.g. one per rank — and are summed). The callable must
-  /// stay valid until unregister_probes(owner) is called with the same
-  /// owner token; components use `this` and unregister in their destructor.
-  void register_probe(const void* owner, std::string_view name,
-                      std::function<std::uint64_t()> read);
-  void unregister_probes(const void* owner);
+  /// Teardown fold: add each nonzero value to the counter "<prefix><name>".
+  /// Components keep their raw stats as the backing store and call this once
+  /// from their destructor; zero values create no column, and a disabled
+  /// registry takes nothing.
+  void fold(std::string_view prefix,
+            std::initializer_list<std::pair<std::string_view, std::uint64_t>>
+                stats);
 
   Snapshot snapshot() const;
-  /// Zero every owned counter/gauge/histogram (probes are left registered).
+  /// Zero every counter/gauge/histogram.
   void reset();
 
  private:
-  struct Probe {
-    const void* owner;
-    std::string name;
-    std::function<std::uint64_t()> read;
-  };
-
   std::atomic<bool> enabled_{false};
   mutable util::Mutex mu_;  ///< guards the maps, not the metric hot paths
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
@@ -216,7 +209,6 @@ class MetricsRegistry {
       GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>> hists_
       GUARDED_BY(mu_);
-  std::vector<Probe> probes_ GUARDED_BY(mu_);
 };
 
 }  // namespace photon::telemetry

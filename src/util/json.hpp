@@ -1,5 +1,5 @@
-// Minimal JSON emission helpers shared by the telemetry snapshot exporter,
-// the Chrome-trace writer, and the bench BENCH_*.json reports.
+// Minimal JSON emission helpers shared by the telemetry snapshot exporter
+// and the bench BENCH_*.json reports.
 //
 // This is a *writer* only — no parsing, no DOM. JsonWriter produces compact,
 // well-formed JSON with correct comma placement (safe for empty objects and

@@ -34,17 +34,4 @@ constexpr bool vt_after(std::uint64_t a, std::uint64_t b) noexcept {
   return vt_before(b, a);
 }
 
-/// True when `a` is later than or equal to `b`.
-constexpr bool vt_after_eq(std::uint64_t a, std::uint64_t b) noexcept {
-  return vt_before_eq(b, a);
-}
-
-/// Earlier / later of two stamps under the wrap-safe order.
-constexpr std::uint64_t vt_min(std::uint64_t a, std::uint64_t b) noexcept {
-  return vt_before(a, b) ? a : b;
-}
-constexpr std::uint64_t vt_max(std::uint64_t a, std::uint64_t b) noexcept {
-  return vt_before(a, b) ? b : a;
-}
-
 }  // namespace photon::util

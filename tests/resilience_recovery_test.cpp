@@ -477,8 +477,6 @@ TEST(RecoverySoak, LinkFlapDuringMixedWorkloadStaysClean) {
     if (env.rank == 0) {
       EXPECT_GE(env.nic.counters().recoveries.load(),
                 static_cast<std::uint64_t>(kCycles));
-      const auto totals = env.cluster.fabric().resilience_totals();
-      EXPECT_GE(totals.recoveries, static_cast<std::uint64_t>(kCycles));
     }
     env.bootstrap.barrier(env.rank);
     ph.unregister_buffer(sdesc.value());

@@ -342,13 +342,16 @@ TEST_F(WireFaultTest, ResilienceTotalsAggregateAcrossNics) {
     ASSERT_EQ(a.jump_send(c), Status::Ok);
     ASSERT_EQ(c.status, Status::Ok);
   }
-  const auto t = fab.resilience_totals();
-  EXPECT_EQ(t.retransmits, a.counters().retransmits.load() +
-                               b.counters().retransmits.load());
-  EXPECT_GE(t.retransmits, 2u);
-  EXPECT_EQ(t.crc_rejects, 1u);  // counted at the target NIC
-  EXPECT_GE(t.wire_faults_fired, 2u);
-  EXPECT_EQ(t.op_timeouts, 0u);
+  telemetry::MetricsRegistry reg;
+  reg.set_enabled(true);
+  fab.fold_metrics(reg);
+  const telemetry::Snapshot t = reg.snapshot();
+  EXPECT_EQ(t.counter_or("fabric.retransmits", 0),
+            a.counters().retransmits.load() + b.counters().retransmits.load());
+  EXPECT_GE(t.counter_or("fabric.retransmits", 0), 2u);
+  EXPECT_EQ(t.counter_or("fabric.crc_rejects", 0), 1u);  // counted at target
+  EXPECT_GE(t.counter_or("fabric.wire_faults_fired", 0), 2u);
+  EXPECT_EQ(t.counter_or("fabric.op_timeouts", 0), 0u);
 }
 
 TEST_F(WireFaultTest, RandomLossyWireIsSeededAndEventuallyMasked) {

@@ -160,38 +160,30 @@ TEST(MetricsRegistry, MergedHistogramByPrefix) {
   EXPECT_EQ(s.merged_histogram("nothing.").total, 0u);
 }
 
-TEST(MetricsRegistry, ProbesReadBackingStoreAtSnapshotTime) {
+TEST(MetricsRegistry, FoldAddsNonzeroStatsUnderThePrefix) {
   MetricsRegistry reg;
-  std::uint64_t backing = 7;
-  int token = 0;  // probe owner identity
-  reg.register_probe(&token, "probe.col", [&backing] { return backing; });
-  EXPECT_EQ(reg.snapshot().counter_or("probe.col", 0), 7u);
-  backing = 42;  // registry is a view, not a copy
-  EXPECT_EQ(reg.snapshot().counter_or("probe.col", 0), 42u);
+  reg.fold("core.", {{"puts", 3}});
+  EXPECT_TRUE(reg.snapshot().counters.empty());  // disabled: takes nothing
 
-  // Same-name probes sum (one per rank), and add to an owned counter too.
-  reg.counter("probe.col").add(100);
-  std::uint64_t backing2 = 1;
-  reg.register_probe(&token, "probe.col", [&backing2] { return backing2; });
-  EXPECT_EQ(reg.snapshot().counter_or("probe.col", 0), 143u);
-
-  reg.unregister_probes(&token);
-  EXPECT_EQ(reg.snapshot().counter_or("probe.col", 0), 100u);
+  reg.set_enabled(true);
+  reg.fold("core.", {{"puts", 3}, {"gets", 0}, {"signals", 2}});
+  reg.fold("core.", {{"puts", 4}});  // a second component's fold adds up
+  const Snapshot s = reg.snapshot();
+  EXPECT_EQ(s.counter_or("core.puts", 0), 7u);
+  EXPECT_EQ(s.counter_or("core.signals", 0), 2u);
+  EXPECT_EQ(s.counters.count("core.gets"), 0u);  // zero makes no column
 }
 
-TEST(MetricsRegistry, ResetZeroesMetricsButKeepsProbes) {
+TEST(MetricsRegistry, ResetZeroesEveryMetric) {
   MetricsRegistry reg;
   reg.counter("c").add(5);
+  reg.gauge("g").set(4);
   reg.histogram("h").record(9);
-  std::uint64_t backing = 3;
-  int token = 0;
-  reg.register_probe(&token, "p", [&backing] { return backing; });
   reg.reset();
   const Snapshot s = reg.snapshot();
   EXPECT_EQ(s.counter_or("c", 99), 0u);
+  EXPECT_EQ(s.gauges.at("g"), 0);
   EXPECT_EQ(s.histograms.at("h").total, 0u);
-  EXPECT_EQ(s.counter_or("p", 0), 3u);
-  reg.unregister_probes(&token);
 }
 
 TEST(MetricsRegistry, DisabledByDefaultAndRecorderHonorsIt) {

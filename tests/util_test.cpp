@@ -1,10 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
+#include "benchsupport/harness.hpp"
+#include "benchsupport/report.hpp"
+#include "core/photon.hpp"
+#include "test_helpers.hpp"
 #include "util/expected.hpp"
 #include "util/idle_wait.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "util/timing.hpp"
@@ -115,6 +128,248 @@ TEST(IdleWait, BackoffCountsThroughTheSleepThreshold) {
     util::idle_backoff(spins);
     EXPECT_EQ(spins, i);
   }
+}
+
+// ---- minimal JSON well-formedness validator ---------------------------------
+
+class JsonValidator {
+ public:
+  explicit JsonValidator(std::string_view s) : s_(s) {}
+
+  bool valid() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return pos_ == s_.size();
+  }
+
+ private:
+  std::string_view s_;
+  std::size_t pos_ = 0;
+
+  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
+  bool eat(char c) {
+    if (peek() != c) return false;
+    ++pos_;
+    return true;
+  }
+  void skip_ws() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_])))
+      ++pos_;
+  }
+
+  bool value() {
+    switch (peek()) {
+      case '{': return object();
+      case '[': return array();
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  bool literal(std::string_view lit) {
+    if (s_.substr(pos_, lit.size()) != lit) return false;
+    pos_ += lit.size();
+    return true;
+  }
+
+  bool number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    if (eat('.')) {
+      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
+      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    }
+    if (peek() == 'e' || peek() == 'E') {
+      ++pos_;
+      if (peek() == '+' || peek() == '-') ++pos_;
+      if (!std::isdigit(static_cast<unsigned char>(peek()))) return false;
+      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    }
+    if (pos_ == start) return false;
+    if (s_[start] == '-' && pos_ == start + 1) return false;  // bare minus
+    return std::isdigit(static_cast<unsigned char>(s_[start])) ||
+           s_[start] == '-';
+  }
+
+  bool string() {
+    if (!eat('"')) return false;
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
+      if (c == '\\') {
+        if (pos_ >= s_.size()) return false;
+        const char e = s_[pos_++];
+        if (e == 'u') {
+          for (int i = 0; i < 4; ++i)
+            if (!std::isxdigit(static_cast<unsigned char>(peek())))
+              return false;
+            else
+              ++pos_;
+        } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                   std::string_view::npos) {
+          return false;
+        }
+      }
+    }
+    return false;  // unterminated
+  }
+
+  bool object() {
+    if (!eat('{')) return false;
+    skip_ws();
+    if (eat('}')) return true;
+    for (;;) {
+      skip_ws();
+      if (!string()) return false;
+      skip_ws();
+      if (!eat(':')) return false;
+      skip_ws();
+      if (!value()) return false;
+      skip_ws();
+      if (eat('}')) return true;
+      if (!eat(',')) return false;
+    }
+  }
+
+  bool array() {
+    if (!eat('[')) return false;
+    skip_ws();
+    if (eat(']')) return true;
+    for (;;) {
+      skip_ws();
+      if (!value()) return false;
+      skip_ws();
+      if (eat(']')) return true;
+      if (!eat(',')) return false;
+    }
+  }
+};
+
+bool valid_json(const std::string& s) { return JsonValidator(s).valid(); }
+
+// ---- validator sanity -------------------------------------------------------
+
+TEST(JsonValidatorSelfTest, AcceptsAndRejects) {
+  EXPECT_TRUE(valid_json(R"({"a":[1,2.5,-3e4],"b":"x\n","c":null})"));
+  EXPECT_TRUE(valid_json("[]"));
+  EXPECT_FALSE(valid_json(R"({"a":1,})"));
+  EXPECT_FALSE(valid_json(R"({"a" 1})"));
+  EXPECT_FALSE(valid_json("{\"a\":\"unterminated}"));
+  EXPECT_FALSE(valid_json(R"({"a":1} trailing)"));
+  EXPECT_FALSE(valid_json("{\"a\":\"raw\ncontrol\"}"));
+}
+
+// ---- JsonWriter -------------------------------------------------------------
+
+TEST(JsonWriter, EscapesQuotesBackslashAndControlCharacters) {
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("k\"ey").value("quote\" back\\slash \nnewline\ttab\x01");
+  w.end_object();
+  EXPECT_TRUE(valid_json(w.str())) << w.str();
+  EXPECT_EQ(w.str(),
+            R"({"k\"ey":"quote\" back\\slash \nnewline\ttab\u0001"})");
+}
+
+TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
+  util::JsonWriter w;
+  w.begin_array();
+  w.value(std::nan(""));
+  w.value(std::numeric_limits<double>::infinity());
+  w.value(1.5);
+  w.end_array();
+  EXPECT_TRUE(valid_json(w.str())) << w.str();
+  EXPECT_EQ(w.str(), "[null,null,1.5]");
+}
+
+TEST(JsonWriter, RawSplicesPreRenderedJsonAsOneValue) {
+  util::JsonWriter inner;
+  inner.begin_object();
+  inner.key("peer").value(7);
+  inner.key("bytes").value(4096);
+  inner.end_object();
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("args").raw(inner.str());
+  w.key("next").value(true);
+  w.end_object();
+  EXPECT_TRUE(valid_json(w.str())) << w.str();
+  EXPECT_EQ(w.str(), R"({"args":{"peer":7,"bytes":4096},"next":true})");
+}
+
+// ---- BenchReport --------------------------------------------------------------
+
+/// Value of `"key":<integer>` inside the named top-level section of a report.
+std::uint64_t section_value(const std::string& json, std::string_view section,
+                            std::string_view key) {
+  const std::size_t sec = json.find("\"" + std::string(section) + "\":{");
+  if (sec == std::string::npos) return ~0ULL;
+  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::size_t at = json.find(needle, sec);
+  if (at == std::string::npos) return ~0ULL;
+  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
+}
+
+TEST(BenchReport, ResilienceSectionReadsTheFabricCounters) {
+  using fabric::OpCode;
+  using fabric::Rank;
+  using fabric::WireFault;
+  constexpr std::uint64_t kWait = 2'000'000'000ULL;
+  benchsupport::BenchReport report("util_test_resilience");
+  std::uint64_t retransmits = 0;
+  std::uint64_t faults_fired = 0;
+  benchsupport::run_spmd_vtime(
+      benchsupport::bench_fabric(2),
+      testing::abort_on_fatal_failure([&](runtime::Env& env) {
+        core::Photon ph(env.nic, env.bootstrap, core::Config{});
+        std::vector<std::byte> buf(256);
+        auto desc = ph.register_buffer(buf.data(), buf.size());
+        ASSERT_TRUE(desc.ok());
+        auto all = ph.exchange_descriptors(desc.value());
+        if (env.rank == 0) {
+          env.nic.faults().arm_wire({WireFault::kDrop, OpCode::Put, Rank{1}});
+          ASSERT_EQ(
+              ph.put_with_completion(1, core::local_slice(desc.value(), 0, 64),
+                                     core::slice(all[1], 0, 64), 1, 2),
+              Status::Ok);
+          core::LocalComplete lc;
+          ASSERT_EQ(ph.wait_local(lc, kWait), Status::Ok);
+        } else {
+          core::ProbeEvent ev;
+          ASSERT_EQ(ph.wait_event(ev, kWait), Status::Ok);
+        }
+        env.bootstrap.barrier(env.rank);
+        if (env.rank == 0) {
+          for (Rank r = 0; r < env.cluster.size(); ++r) {
+            fabric::Nic& nic = env.cluster.fabric().nic(r);
+            retransmits += nic.counters().retransmits.load();
+            faults_fired += nic.faults().fired();
+          }
+        }
+        env.bootstrap.barrier(env.rank);
+        ph.unregister_buffer(desc.value());
+      }));
+  ASSERT_GE(retransmits, 1u);
+  ASSERT_GE(faults_fired, 1u);
+
+  const std::string j = report.to_json();
+  EXPECT_TRUE(valid_json(j)) << j;
+  EXPECT_EQ(section_value(j, "resilience", "retransmits"), retransmits) << j;
+  EXPECT_EQ(section_value(j, "resilience", "wire_faults_fired"), faults_fired)
+      << j;
+  EXPECT_EQ(section_value(j, "resilience", "op_timeouts"), 0u) << j;
+
+  // Write here rather than from the destructor into the working directory.
+  ::setenv("PHOTON_BENCH_DIR", ::testing::TempDir().c_str(), 1);
+  EXPECT_TRUE(report.write());
+  std::remove(report.path().c_str());
 }
 
 }  // namespace

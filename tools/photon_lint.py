@@ -28,6 +28,10 @@ thread-safety analysis leg is unavailable):
                        sleep_for or sleep_until anywhere else is flagged
                        unless it carries an `idle-ok:` justification on the
                        same line or the line above.
+  test-only-module     every src/**/*.hpp is included by some file under
+                       src/, bench/, examples/ or perfbench/ other than its
+                       own .cpp; a header only tests reach is flagged unless
+                       it carries a `test-only-ok:` reason.
 
 Usage:
   tools/photon_lint.py [--root DIR] [--format text|json]
@@ -102,7 +106,7 @@ VTIME_CMP_RE = re.compile(
     r"(\w*vtime\w*\s+(?:<=|>=|<|>)(?![<>=])\s"
     r"|\s(?:<=|>=|<(?![<=])|>(?![>=]))\s+\w*vtime\w*)"
 )
-VTIME_OK_RE = re.compile(r"vtime-ok|vt_before|vt_after|vt_min|vt_max")
+VTIME_OK_RE = re.compile(r"vtime-ok|vt_before|vt_after")
 
 BLOCKING_RE = re.compile(
     r"(\bstd::mutex\b|\butil::Mutex\b|\bstd::shared_mutex\b"
@@ -128,6 +132,13 @@ OTHER_SLOT_RE = re.compile(r"\bcounters_\s*\.\s*from\(\s*(?!rank_\s*\))")
 IDLE_WAIT_RE = re.compile(r"\bthis_thread::yield\b|\bsleep_for\b|\bsleep_until\b")
 IDLE_OK_RE = re.compile(r"idle-ok:")
 
+# Trees whose includes make a src/ header part of the program (tests/ does
+# not count: a module only tests include is dead weight in src/).
+USER_DIRS = ("src", "bench", "examples", "perfbench")
+SOURCE_SUFFIXES = (".hpp", ".cpp", ".h", ".cc")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
+TEST_ONLY_OK_RE = re.compile(r"test-only-ok:")
+
 ALL_RULES = (
     "relaxed-justify",
     "vtime-compare",
@@ -135,6 +146,7 @@ ALL_RULES = (
     "ledger-meta-accessor",
     "foreign-nic-state",
     "idle-wait-copy",
+    "test-only-module",
 )
 
 
@@ -258,6 +270,41 @@ def lint_file(relpath: str, text: str, rules, allow):
     return findings
 
 
+def lint_test_only_modules(root: Path, allow):
+    """Flag src/ headers that nothing but their own .cpp (or tests) include."""
+    includers = {}  # resolved header path -> resolved paths including it
+    for d in USER_DIRS:
+        base = root / d
+        if not base.is_dir():
+            continue
+        for f in base.rglob("*"):
+            if f.suffix not in SOURCE_SUFFIXES or not f.is_file():
+                continue
+            for inc in INCLUDE_RE.findall(f.read_text(errors="replace")):
+                for cand in (root / "src" / inc, f.parent / inc):
+                    if cand.is_file():
+                        includers.setdefault(cand.resolve(), set()).add(f.resolve())
+
+    findings = []
+    for h in sorted((root / "src").rglob("*.hpp")):
+        users = includers.get(h.resolve(), set()) - {h.with_suffix(".cpp").resolve()}
+        if users or TEST_ONLY_OK_RE.search(h.read_text()):
+            continue
+        relpath = h.relative_to(root).as_posix()
+        if not allowed(allow, "test-only-module", relpath, 1):
+            findings.append(
+                {
+                    "rule": "test-only-module",
+                    "file": relpath,
+                    "line": 1,
+                    "message": "header included only by its own .cpp or by "
+                    "tests; delete the module (or annotate `test-only-ok:` "
+                    "with a reason)",
+                }
+            )
+    return findings
+
+
 def main(argv):
     ap = argparse.ArgumentParser(prog="photon_lint")
     ap.add_argument("--root", default=None, help="repo root (default: auto)")
@@ -291,6 +338,8 @@ def main(argv):
             continue
         relpath = path.relative_to(root).as_posix()
         findings.extend(lint_file(relpath, path.read_text(), rules, allow))
+    if "test-only-module" in rules:
+        findings.extend(lint_test_only_modules(root, allow))
 
     if args.format == "json":
         print(json.dumps({"violations": findings, "count": len(findings)}, indent=2))

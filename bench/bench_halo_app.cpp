@@ -60,8 +60,6 @@ double photon_iter_us(std::size_t nx) {
     const Push pushes[] = {{g.west(), W, E}, {g.east(), E, W},
                            {g.north(), N, S}, {g.south(), S, N}};
     comm.barrier();
-    for (auto& ev : comm.take_foreign_events())
-      ++arrived[static_cast<int>(ev.id >> 8)];
     benchsupport::sync_reset(env);
 
     for (int it = 0; it < kIters; ++it) {
@@ -82,11 +80,11 @@ double photon_iter_us(std::size_t nx) {
         ++expected;
       }
       // A neighbour that finished early may already have rung the closing
-      // barrier: leave collective ids queued for comm.barrier().
+      // barrier; its keyed doorbells wait for comm.barrier(), not this probe.
       util::Deadline dl(kWait);
       std::uint32_t spins = 0;
       while (arrived[it] < expected) {
-        if (auto ev = ph.probe_event_unmasked(coll::Communicator::kCollBit)) {
+        if (auto ev = ph.probe_event()) {
           ++arrived[static_cast<int>(ev->id >> 8)];
           spins = 0;
         } else if (dl.expired()) {

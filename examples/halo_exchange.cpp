@@ -103,11 +103,9 @@ int main(int argc, char** argv) {
     enum { W, E, N, S };
     std::unordered_map<int, int> arrived;  // iteration -> strips seen
 
+    // A fast neighbor's first push may race the barrier; it stays in the
+    // event FIFO for the halo wait below.
     comm.barrier();
-    // A fast neighbor's first push may have raced the barrier and been
-    // stashed by the communicator; reclaim those events.
-    for (auto& ev : comm.take_foreign_events())
-      ++arrived[static_cast<int>(ev.id >> 8)];
 
     for (int it = 0; it < iters; ++it) {
       // Pack boundaries into outgoing strips.

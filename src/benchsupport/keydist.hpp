@@ -37,6 +37,7 @@ class KeyDist {
     }
   }
 
+  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
   std::uint64_t domain() const noexcept { return n_; }
   double skew() const noexcept { return s_; }
 

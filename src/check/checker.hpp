@@ -102,6 +102,7 @@ class Checker {
     // relaxed-ok: independent on/off gate, same contract as enabled().
     return race_.load(std::memory_order_relaxed);
   }
+  // test-only-ok: the checker's race tests switch modes directly.
   void set_race_mode(bool on) noexcept {
     // relaxed-ok: see race_mode().
     race_.store(on, std::memory_order_relaxed);
@@ -109,6 +110,7 @@ class Checker {
   void set_mode(Mode m);
   Mode mode() const;
 
+  // test-only-ok: the checker and recovery tests count reports.
   std::uint64_t violation_count() const noexcept {
     // relaxed-ok: monotonic statistic read for reporting only.
     return violation_count_.load(std::memory_order_relaxed);
@@ -162,7 +164,9 @@ class Checker {
   void note_user_write(fabric::Rank rank, const void* addr, std::size_t len);
 
   // ---- introspection (tests) -----------------------------------------------
+  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
   std::size_t live_ops() const;
+  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
   std::size_t live_regions() const;
 
  private:

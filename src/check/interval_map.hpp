@@ -64,6 +64,7 @@ class IntervalMap {
   }
 
   /// Remove every span owned by `serial`; returns how many were removed.
+  // test-only-ok: interval-map unit tests; the checker erases by span.
   std::size_t erase_all(std::uint64_t serial) {
     std::size_t n = 0;
     for (auto it = spans_.begin(); it != spans_.end();) {

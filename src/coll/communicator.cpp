@@ -19,7 +19,9 @@ namespace {
 constexpr std::uint64_t kCollTimeoutNs = 30'000'000'000ULL;  // 30 s wall
 // seq_ is pre-incremented by every collective, so block_id never emits an id
 // with sequence 0: the whole seq==0 subspace is free for control messages.
-constexpr std::uint64_t kRejoinSyncId = Communicator::kCollBit | 0x1;
+constexpr std::uint64_t kRejoinSyncId = core::kKeyedEventBit | 0x1;
+// block_id keeps the sequence in bits 24..61.
+constexpr std::uint64_t kSeqMask = 0x3FFFFFFFFFULL;
 }
 
 Communicator::Communicator(core::Photon& ph) : ph_(ph) {
@@ -46,7 +48,21 @@ std::size_t Communicator::shrink() {
   const std::size_t removed = group_.size() - keep.size();
   group_ = std::move(keep);
   gidx_ = vindex_of(rank());
+  discard_stale_ = true;
+  discard_stale_blocks();
   return removed;
+}
+
+void Communicator::discard_stale_blocks() {
+  const std::uint64_t cur = seq_ & kSeqMask;
+  const auto live = [cur](const core::ProbeEvent& e) {
+    const std::uint64_t seq = (e.id >> 24) & kSeqMask;
+    const bool block = (e.id & core::kKeyedEventBit) != 0 &&
+                       (e.id & core::kKeyedServiceBit) == 0 && seq != 0;
+    return !block || seq >= cur;
+  };
+  for (Rank r = 0; r < ph_.size(); ++r)
+    if (r != rank()) ph_.discard_events_from(r, live);
 }
 
 Status Communicator::rejoin(Rank r) {
@@ -105,7 +121,6 @@ Status Communicator::rejoin(Rank r) {
         return e.epoch == cur && e.id != kRejoinSyncId;
       });
     }
-    stash_.clear();  // stash contents predate the outage by contract
     return Status::Ok;
   }
   // Survivor side: fence a fresh epoch toward the returning rank, re-admit
@@ -134,35 +149,24 @@ Communicator::~Communicator() {
                 {"scatters", stats_.scatters},
                 {"blocks_sent", stats_.blocks_sent},
                 {"block_bytes_sent", stats_.block_bytes_sent},
-                {"flags_sent", stats_.flags_sent},
-                {"foreign_events", stats_.foreign_events}}));
+                {"flags_sent", stats_.flags_sent}}));
 }
 
 std::uint64_t Communicator::block_id(std::uint32_t round, std::uint32_t chunk,
                                      std::uint32_t) const {
-  return kCollBit | ((seq_ & 0x7FFFFFFFFFULL) << 24) |
+  // Sequence in bits 24..61: core::kKeyedServiceBit stays clear, so block
+  // ids never meet the DDS service's keyed ids.
+  return core::kKeyedEventBit | ((seq_ & kSeqMask) << 24) |
          (std::uint64_t{round & 0xFF} << 16) | (chunk & 0xFFFF);
 }
 
 std::vector<std::byte> Communicator::await(Rank peer, std::uint64_t id) {
-  const Key want{peer, id};
   util::Deadline dl(kCollTimeoutNs);
   std::uint32_t spins = 0;
   for (;;) {
-    if (auto it = stash_.find(want); it != stash_.end() && !it->second.empty()) {
-      std::vector<std::byte> out = std::move(it->second.front());
-      it->second.pop_front();
-      if (it->second.empty()) stash_.erase(it);
-      return out;
-    }
-    if (auto ev = ph_.probe_event()) {
-      if (ev->id & kCollBit) {
-        stash_[{ev->peer, ev->id}].push_back(std::move(ev->payload));
-      } else {
-        ++stats_.foreign_events;
-        foreign_.push_back(std::move(*ev));
-      }
-      continue;
+    if (auto ev = ph_.take_event(peer, id)) {
+      if (discard_stale_) discard_stale_blocks();
+      return std::move(ev->payload);
     }
     // A collective cannot complete once ANY group member is unreachable,
     // not just the peer this rank happens to await: recursive doubling
@@ -226,10 +230,6 @@ void Communicator::send_flag(Rank peer, std::uint32_t round) {
 
 void Communicator::recv_flag(Rank peer, std::uint32_t round) {
   (void)await(peer, block_id(round, 0, 1));
-}
-
-std::deque<core::ProbeEvent> Communicator::take_foreign_events() {
-  return std::exchange(foreign_, {});
 }
 
 // ---- barrier: dissemination ---------------------------------------------------

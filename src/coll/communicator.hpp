@@ -11,13 +11,12 @@
 //
 // Data moves as eager-ring blocks chunked to the Photon eager threshold,
 // identified by (sequence, round, chunk) packed into the 64-bit completion
-// id. A reorder stash tolerates interleaving between rounds and peers.
+// id. The ids are keyed (core::kKeyedEventBit): Photon files each block by
+// (peer, id) on delivery and await() takes exactly the one it needs, so
+// application events and parcels stay in the probe_event() FIFO.
 //
 // Usage contract: collectives are SPMD — every member of the active group
 // calls the same collectives in the same order on the same Communicator.
-// While a collective is in flight the Communicator owns the Photon event
-// stream; events whose ids are outside the collective namespace are
-// preserved and readable via take_foreign_events().
 //
 // Fault tolerance: collectives run over an *active group*, initially all P
 // ranks. shrink() contracts it around peers the fabric reports Down;
@@ -28,10 +27,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "coll/reduce_op.hpp"
@@ -51,7 +48,6 @@ struct CollStats {
   std::uint64_t blocks_sent = 0;  ///< eager chunks pushed by send_block
   std::uint64_t block_bytes_sent = 0;
   std::uint64_t flags_sent = 0;   ///< pure-doorbell signals
-  std::uint64_t foreign_events = 0;  ///< non-collective events preserved
 };
 
 class Communicator {
@@ -65,12 +61,9 @@ class Communicator {
   std::uint32_t size() const noexcept { return ph_.size(); }
   const CollStats& stats() const noexcept { return stats_; }
 
-  /// Active group (sorted world ranks). group_size() == size() until
+  /// Active group (sorted world ranks). Its size equals size() until
   /// shrink() removes failed members.
   const std::vector<fabric::Rank>& group() const noexcept { return group_; }
-  std::uint32_t group_size() const noexcept {
-    return static_cast<std::uint32_t>(group_.size());
-  }
   /// Remove every group member the fabric currently reports Down. Collective
   /// among survivors: each must observe the same Down set (guaranteed under
   /// a fabric-manager-style kill) and call shrink() at the same point in its
@@ -90,12 +83,16 @@ class Communicator {
   /// is busy; latency ~ (P - 2 + chunks) * chunk_time. Wins for large
   /// payloads (see bench_bcast_ablation).
   void broadcast_pipelined(std::span<std::byte> data, fabric::Rank root);
+  // test-only-ok: paper collective, covered by coll tests; no bench yet.
   void allgather(std::span<const std::byte> mine, std::span<std::byte> all);
+  // test-only-ok: paper collective, covered by coll tests; no bench yet.
   void alltoall(std::span<const std::byte> send, std::span<std::byte> recv,
                 std::size_t block);
+  // test-only-ok: paper collective, covered by coll tests; no bench yet.
   void gather(std::span<const std::byte> mine, std::span<std::byte> all,
               fabric::Rank root);
   /// Root holds P blocks; every rank receives its own.
+  // test-only-ok: paper collective, covered by coll tests; no bench yet.
   void scatter(std::span<const std::byte> all, std::span<std::byte> mine,
                fabric::Rank root);
 
@@ -106,18 +103,6 @@ class Communicator {
                   apply(op, static_cast<T*>(a), static_cast<const T*>(b), n);
                 },
                 /*root=*/group_.front(), /*all=*/true);
-  }
-
-  /// Reduce-scatter: elementwise reduce a group_size()*count array, the
-  /// member at group index i keeps block i (count elements). Implemented as
-  /// reduce-to-lowest-member + scatter.
-  template <typename T>
-  void reduce_scatter(std::span<T> data, std::span<T> mine, ReduceOp op) {
-    if (data.size() != mine.size() * group_size())
-      throw std::invalid_argument("reduce_scatter: data != P * mine");
-    const fabric::Rank root = group_.front();
-    reduce(data, op, root);
-    scatter(std::as_bytes(data), std::as_writable_bytes(mine), root);
   }
 
   template <typename T>
@@ -135,12 +120,6 @@ class Communicator {
     allreduce(std::span<T>(&v, 1), op);
     return v;
   }
-
-  /// Events that arrived during collectives but belong to the application.
-  std::deque<core::ProbeEvent> take_foreign_events();
-
-  /// Collective-id namespace marker (high bit).
-  static constexpr std::uint64_t kCollBit = 1ULL << 63;
 
  private:
   using Combine = std::function<void(void*, const void*, std::size_t)>;
@@ -162,6 +141,9 @@ class Communicator {
   /// Blocks until the event with `id` from `peer` is available; payload (may
   /// be empty for flags) is returned.
   std::vector<std::byte> await(fabric::Rank peer, std::uint64_t id);
+  /// Discard queued blocks of older sequences: after an abort no await takes
+  /// them, so they leave as id loss instead of staying queued.
+  void discard_stale_blocks();
 
   // Virtual-rank helpers over the active group. Algorithms do all modular
   // arithmetic in group-index space and map to world ranks at the wire.
@@ -178,19 +160,9 @@ class Communicator {
   std::uint64_t seq_ = 0;  ///< collective sequence number (same on all ranks)
   std::vector<fabric::Rank> group_;  ///< active members, sorted world ranks
   std::uint32_t gidx_ = 0;           ///< my index in group_
-
-  struct Key {
-    fabric::Rank peer;
-    std::uint64_t id;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.id * 1000003u + k.peer);
-    }
-  };
-  std::unordered_map<Key, std::deque<std::vector<std::byte>>, KeyHash> stash_;
-  std::deque<core::ProbeEvent> foreign_;
+  /// Set by shrink(): blocks of the aborted collective may still arrive, so
+  /// every await ends with discard_stale_blocks().
+  bool discard_stale_ = false;
 };
 
 }  // namespace photon::coll

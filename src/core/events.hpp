@@ -41,17 +41,21 @@ struct ProbeEvent {
   std::vector<std::byte> payload;  ///< eager data; empty for direct PWC/GWC
 };
 
-/// Event-id bit reserved for layered services riding the same Photon
-/// instance as a shared dispatcher (the DDS lock's successor-handoff signals
-/// under a parcel transport). Services stamp it into their remote ids and
-/// pluck them with take_event(); shared dispatchers drain with
-/// probe_event_unmasked(kServiceEventBit) so service events stay queued.
-inline constexpr std::uint64_t kServiceEventBit = 1ULL << 61;
+/// Remote ids with this bit set are *keyed*: delivery files them by
+/// (peer, id), and only Photon::take_event(peer, id) returns them —
+/// probe_event()/wait_event() never do. Every other id (application ids,
+/// parcel handler ids) goes to the one FIFO those probes drain, so no
+/// consumer filters another's events.
+inline constexpr std::uint64_t kKeyedEventBit = 1ULL << 63;
+/// Splits the keyed space between its two users so their ids cannot
+/// collide: DDS service handoffs set it (dds::Service::alloc_handoff_id),
+/// collective blocks keep it clear (coll::Communicator::block_id).
+inline constexpr std::uint64_t kKeyedServiceBit = 1ULL << 62;
 
 /// A shard-epoch NAK received on the completion-ledger path: `peer` tells us
 /// the ownership of DDS shard `shard` has moved to `epoch`. Routed to a
 /// dedicated queue (Photon::take_shard_nak) instead of the probe-event
-/// stream so shared dispatchers never see it.
+/// stream: it is ledger control, not a ProbeEvent.
 struct ShardNak {
   fabric::Rank peer = 0;
   std::uint32_t shard = 0;

@@ -1310,8 +1310,7 @@ void Photon::consume_eager(Rank src, [[maybe_unused]] std::uint64_t post_vt,
       // message's post vtime.
       PHOTON_TELEM_HOOK(oplat_.record_remote(telemetry::OpClass::kEager, src,
                                              sat_sub(deliver_vt, post_vt)));
-      event_q_.push_back(std::move(ev));
-      ++stats_.events_delivered;
+      deliver_event(std::move(ev));
     } else {
       handle_control(src, h, body);
     }
@@ -1336,8 +1335,8 @@ void Photon::consume_ledger(Rank src, std::uint64_t slot,
               sizeof(e));
   if (ledger_meta_is_shard_nak(e.meta)) {
     // Control entry from the DDS HA layer: route to the NAK queue, never the
-    // probe-event stream (shared dispatchers must not observe it). Still a
-    // ledger slot: advance the tail and return credits as usual.
+    // probe-event stream. Still a ledger slot: advance the tail and return
+    // credits as usual.
     shard_nak_q_.push_back(ShardNak{src, ledger_meta_nak_shard(e.meta),
                                     ledger_meta_nak_epoch(e.meta)});
     ++stats_.shard_naks;
@@ -1358,10 +1357,17 @@ void Photon::consume_ledger(Rank src, std::uint64_t slot,
     oplat_.record_remote(oc, src,
                          sat_sub(deliver_vt, ledger_meta_vtime(e.meta)));
   });
-  event_q_.push_back(std::move(ev));
-  ++stats_.events_delivered;
+  deliver_event(std::move(ev));
   ++rs.ledger_tail;
   maybe_return_credits(src);
+}
+
+void Photon::deliver_event(ProbeEvent&& ev) {
+  if ((ev.id & kKeyedEventBit) != 0)
+    keyed_[{ev.peer, ev.id}].push_back(std::move(ev));
+  else
+    event_q_.push_back(std::move(ev));
+  ++stats_.events_delivered;
 }
 
 void Photon::handle_control(Rank src, const EagerHeader& h, const std::byte* body) {
@@ -1424,73 +1430,33 @@ std::optional<ProbeEvent> Photon::probe_event() {
   return out;
 }
 
-std::optional<ProbeEvent> Photon::probe_event_unmasked(std::uint64_t mask) {
-  if (event_q_.empty()) progress();
-  for (auto it = event_q_.begin(); it != event_q_.end(); ++it) {
-    if ((it->id & mask) != 0) continue;  // addressed to a layered dispatcher
-    ProbeEvent out = std::move(*it);
-    event_q_.erase(it);
-    PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
-    return out;
-  }
-  return std::nullopt;
-}
-
 std::size_t Photon::discard_events_from(
     Rank peer, const std::function<bool(const ProbeEvent&)>& keep) {
   progress();
   std::size_t discarded = 0;
-  for (auto it = event_q_.begin(); it != event_q_.end();) {
-    if (it->peer == peer && (keep == nullptr || !keep(*it))) {
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(rank(), it->peer, it->id));
-      it = event_q_.erase(it);
-      ++discarded;
-    } else {
-      ++it;
-    }
+  const auto lost = [&](const ProbeEvent& ev) {
+    if (ev.peer != peer || (keep != nullptr && keep(ev))) return false;
+    PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(rank(), ev.peer, ev.id));
+    ++discarded;
+    return true;
+  };
+  std::erase_if(event_q_, lost);
+  for (auto it = keyed_.begin(); it != keyed_.end();) {
+    std::erase_if(it->second, lost);
+    it = it->second.empty() ? keyed_.erase(it) : std::next(it);
   }
   return discarded;
 }
 
 std::optional<ProbeEvent> Photon::take_event(Rank peer, std::uint64_t id) {
   progress();
-  for (auto it = event_q_.begin(); it != event_q_.end(); ++it) {
-    if (it->peer == peer && it->id == id) {
-      ProbeEvent out = std::move(*it);
-      event_q_.erase(it);
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
-      return out;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<ProbeEvent> Photon::probe_event_from(Rank peer) {
-  if (event_q_.empty()) progress();
-  for (auto it = event_q_.begin(); it != event_q_.end(); ++it) {
-    if (it->peer == peer) {
-      ProbeEvent out = std::move(*it);
-      event_q_.erase(it);
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
-      return out;
-    }
-  }
-  return std::nullopt;
-}
-
-Status Photon::wait_event_from(Rank peer, ProbeEvent& out,
-                               std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    if (auto e = probe_event_from(peer)) {
-      out = std::move(*e);
-      return Status::Ok;
-    }
-    if (nic_.peer_down(peer)) return Status::PeerUnreachable;
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+  const auto it = keyed_.find({peer, id});
+  if (it == keyed_.end()) return std::nullopt;
+  ProbeEvent out = std::move(it->second.front());
+  it->second.pop_front();
+  if (it->second.empty()) keyed_.erase(it);
+  PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_popped(rank(), out.peer, out.id));
+  return out;
 }
 
 std::optional<Status> Photon::probe_error() {

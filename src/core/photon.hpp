@@ -115,8 +115,8 @@ class Photon {
   /// Shard-epoch NAK: tell `dst` that DDS shard `shard` now has ownership
   /// epoch `epoch`. Rides the completion-ledger wire path (same cost as a
   /// signal) but is routed to the receiver's take_shard_nak() queue, never
-  /// its probe-event stream, so shared dispatchers are unaffected. A pure
-  /// control doorbell: no completion id on either side.
+  /// its probe-event stream. A pure control doorbell: no completion id on
+  /// either side.
   Status try_shard_nak(fabric::Rank dst, std::uint32_t shard,
                        std::uint64_t epoch);
 
@@ -234,32 +234,19 @@ class Photon {
   void idle_wait_step(std::uint32_t& spins);
   /// Next initiator-side completion (local ids), if any.
   std::optional<LocalComplete> probe_local();
-  /// Pop the first queued local completion carrying exactly `id`, leaving
-  /// every other completion queued in order. Blocking atomic wrappers use
-  /// this to harvest their internal-id op without disturbing completions the
-  /// application is polling for.
-  std::optional<LocalComplete> take_local(std::uint64_t id);
-  /// Next target-side event (remote ids / eager payloads), if any.
+  /// Next target-side event (remote ids / eager payloads), if any. Keyed
+  /// ids (kKeyedEventBit) never surface here; see take_event().
   std::optional<ProbeEvent> probe_event();
-  /// Like probe_event(), but events whose id has any `mask` bit set stay
-  /// queued. Layered dispatchers that share the event stream (parcels below
-  /// a DDS lock waiting on a handoff signal) drain only the ids addressed to
-  /// them and leave the rest for take_event().
-  std::optional<ProbeEvent> probe_event_unmasked(std::uint64_t mask);
-  /// Per-peer probe (the published API probes per proc): next event from
-  /// `peer` only; events from other peers stay queued in order.
-  std::optional<ProbeEvent> probe_event_from(fabric::Rank peer);
-  /// Pop the first queued event from `peer` carrying exactly `id`, leaving
-  /// every other event (including earlier ones from the same peer) queued.
-  /// Recovery handshakes use this to pluck a control message out of a queue
-  /// that may still hold residue addressed to a dead incarnation — residue
-  /// that must be discarded, never popped (a pop would be flagged as an
-  /// unexpected delivery by the checker).
+  /// Pop the oldest keyed event (kKeyedEventBit) from `peer` with exactly
+  /// `id`: a lookup, since delivery files keyed events by (peer, id).
+  /// Recovery handshakes pluck a control message this way while residue
+  /// addressed to a dead incarnation stays queued for discard_events_from.
   std::optional<ProbeEvent> take_event(fabric::Rank peer, std::uint64_t id);
-  /// Discard every queued target-side event whose sender is `peer` without
-  /// delivering it. Used when this rank rejoins after a simulated kill:
-  /// deliveries addressed to the dead incarnation (in-flight collective
-  /// doorbells, stranded eager payloads) must not leak into the new one.
+  /// Discard every queued target-side event (keyed or not) whose sender is
+  /// `peer` without delivering it. Used when this rank rejoins after a
+  /// simulated kill: deliveries addressed to the dead incarnation
+  /// (in-flight collective doorbells, stranded eager payloads) must not
+  /// leak into the new one.
   /// The initiators' shadow-state expectations for these ids were already
   /// dropped when they declared us Down, so the discard is reported to the
   /// checker as id loss, not consumption. Events for which `keep` returns
@@ -274,8 +261,6 @@ class Photon {
   /// Blocking probes (wall-time bounded; NotFound on timeout).
   Status wait_local(LocalComplete& out, std::uint64_t timeout_ns = kDefaultTimeoutNs);
   Status wait_event(ProbeEvent& out, std::uint64_t timeout_ns = kDefaultTimeoutNs);
-  Status wait_event_from(fabric::Rank peer, ProbeEvent& out,
-                         std::uint64_t timeout_ns = kDefaultTimeoutNs);
 
   // ---- rendezvous (buffer-request) protocol ---------------------------------
   /// Receiver advertises a registered landing buffer; the returned request
@@ -296,6 +281,7 @@ class Photon {
                                               std::uint64_t timeout_ns = kDefaultTimeoutNs);
   /// (peer, tag) pairs holding received adverts that no wait_*_rq has taken
   /// yet; a pair is forgotten once its last advert is taken.
+  // test-only-ok: oracle for the advert-leak regression test.
   std::size_t pending_advert_tags() const noexcept { return adverts_.size(); }
   /// Write directly into an advertised buffer. Completes locally (test/wait).
   util::Result<RequestId> post_os_put(fabric::Rank peer, LocalSlice src,
@@ -481,6 +467,12 @@ class Photon {
   template <typename TryFn>
   util::Result<LocalComplete> run_cell_op(TryFn&& try_once,
                                           std::uint64_t timeout_ns);
+  /// Pop the first queued local completion carrying exactly `id`, leaving
+  /// every other completion queued in order (run_cell_op harvests its
+  /// internal-id op this way without disturbing the application's).
+  std::optional<LocalComplete> take_local(std::uint64_t id);
+  /// File a delivered event: keyed ids by (peer, id), the rest in event_q_.
+  void deliver_event(ProbeEvent&& ev);
 
   fabric::Nic& nic_;
   runtime::Exchanger& oob_;
@@ -550,6 +542,7 @@ class Photon {
   std::uint64_t internal_id_seq_ = 0;
 
   std::deque<LocalComplete> local_q_;
+  /// Unkeyed target-side events, in delivery order (probe_event()).
   std::deque<ProbeEvent> event_q_;
   std::deque<ShardNak> shard_nak_q_;
   std::deque<Status> error_q_;
@@ -563,6 +556,7 @@ class Photon {
   std::unordered_map<RequestId, ReqInfo> requests_;
   RequestId next_request_ = 1;
 
+  /// (peer, tag) for adverts_, (peer, event id) for keyed_.
   struct AdvertKey {
     fabric::Rank peer;
     std::uint64_t tag;
@@ -585,6 +579,9 @@ class Photon {
   };
   std::unordered_map<AdvertKey, std::deque<RendezvousBuffer>, AdvertKeyHash>
       adverts_;
+  /// Keyed target-side events by (peer, id), each deque in delivery order
+  /// (take_event()). An entry is erased when its last event is taken.
+  std::unordered_map<AdvertKey, std::deque<ProbeEvent>, AdvertKeyHash> keyed_;
 };
 
 }  // namespace photon::core

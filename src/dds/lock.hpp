@@ -7,8 +7,9 @@
 //   acquire: zero my next cell, prev = swap(tail@home, me+1).
 //            prev == 0 -> lock held. Otherwise put_u64 my id into the
 //            predecessor's next cell and wait for its handoff doorbell
-//            (take_event on the service-reserved id — parcels sharing the
-//            Photon instance never swallow it, see core::kServiceEventBit).
+//            (take_event on a keyed id from Service::alloc_handoff_id —
+//            delivery files it by (peer, id), so the parcel dispatcher
+//            sharing the Photon instance never sees it).
 //   release: read my own next cell (plain local acquire-load; successors
 //            write it with an 8-byte put). 0 -> CAS(tail, me+1 -> 0); if the
 //            CAS loses, a successor is mid-enqueue: spin until my next cell

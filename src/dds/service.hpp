@@ -149,12 +149,12 @@ class Service {
     return ok ? Status::Ok : Status::Timeout;
   }
 
-  /// Distinct take_event() id for a lock instance's successor handoff.
-  /// kServiceEventBit keeps these out of the parcel dispatcher's poll;
-  /// ids stay far below core::Photon's internal-id bit. Collective order
+  /// Distinct take_event() id for a lock instance's successor handoff: a
+  /// keyed id (core::kKeyedEventBit), so the parcel dispatcher's probe never
+  /// sees it, in the service half of the keyed space. Collective order
   /// makes the id SPMD-identical per instance.
   std::uint64_t alloc_handoff_id() noexcept {
-    return core::kServiceEventBit | ++handoff_seq_;
+    return core::kKeyedEventBit | core::kKeyedServiceBit | ++handoff_seq_;
   }
 
   /// Telemetry scope for one structure: "<prefix>.<struct>.<backend>" with

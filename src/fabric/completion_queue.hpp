@@ -102,8 +102,10 @@ class CompletionQueue {
   /// Pushed and not yet popped (a push in progress may already count).
   std::size_t size() const;
   std::uint64_t overflows() const;
+  // test-only-ok: CQ and NIC tests reset the overflow latch.
   void clear_overflow();
   /// Lane segments allocated so far; recycled segments are not recounted.
+  // test-only-ok: oracle for the lane-recycling tests.
   std::uint64_t segments_allocated() const;
 
  private:

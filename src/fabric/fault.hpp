@@ -126,6 +126,7 @@ class FaultInjector {
   // ---- post-time plane ------------------------------------------------------
 
   /// Arm one fault; fires on the nth post matching its op/peer filters.
+  // test-only-ok: post-time faults are armed only by resilience tests.
   void arm(Fault f) {
     util::LockGuard lock(mutex_);
     if (f.nth == 0) f.nth = 1;
@@ -133,17 +134,8 @@ class FaultInjector {
     armed_.store(true, std::memory_order_release);
   }
 
-  /// Enable random post-time failures with the given probability (0 disables).
-  void set_random(double probability, std::uint64_t seed) {
-    util::LockGuard lock(mutex_);
-    probability_ = probability;
-    rng_ = util::Xoshiro256(seed);
-    update_armed();
-  }
-
   /// Consulted by the NIC on every post. Returns the status to fail with.
-  /// The first armed plan entry whose filters match is counted down; random
-  /// failures apply only when no plan entry matched.
+  /// The first armed plan entry whose filters match is counted down.
   std::optional<Status> maybe_fail(OpCode op,
                                    std::optional<Rank> peer = std::nullopt) {
     // relaxed-ok: unarmed fast-path hint; the header comment explains why
@@ -159,10 +151,6 @@ class FaultInjector {
       update_armed();
       note_post_fired(op, peer);
       return s;
-    }
-    if (probability_ > 0.0 && rng_.unit() < probability_) {
-      note_post_fired(op, peer);
-      return Status::FaultInjected;
     }
     return std::nullopt;
   }
@@ -193,12 +181,14 @@ class FaultInjector {
 
   /// Start recording every decision-plane fired event (see FiredEvent for
   /// why link stalls are excluded). Used by the replay-determinism tests.
+  // test-only-ok: replay-determinism oracle (chaos tests).
   void enable_fired_log() {
     util::LockGuard lock(mutex_);
     log_enabled_ = true;
   }
 
   /// Snapshot of the fired-event log in firing order.
+  // test-only-ok: replay-determinism oracle (chaos tests).
   std::vector<FiredEvent> fired_log() const {
     util::LockGuard lock(mutex_);
     return fired_events_;
@@ -249,6 +239,7 @@ class FaultInjector {
   }
 
   /// Disarm the whole wire plane (random configs, plan, link windows).
+  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
   void clear_wire() {
     util::LockGuard lock(mutex_);
     wire_plan_.clear();
@@ -404,8 +395,7 @@ class FaultInjector {
   }
 
   void update_armed() REQUIRES(mutex_) {
-    armed_.store(!plan_.empty() || probability_ > 0.0,
-                 std::memory_order_release);
+    armed_.store(!plan_.empty(), std::memory_order_release);
   }
 
   void update_wire_armed() REQUIRES(mutex_) {
@@ -428,8 +418,6 @@ class FaultInjector {
   bool log_enabled_ GUARDED_BY(mutex_) = false;
   std::vector<FiredEvent> fired_events_ GUARDED_BY(mutex_);
   std::deque<Fault> plan_ GUARDED_BY(mutex_);
-  double probability_ GUARDED_BY(mutex_) = 0.0;
-  util::Xoshiro256 rng_ GUARDED_BY(mutex_){0};
 
   std::deque<WireFaultSpec> wire_plan_ GUARDED_BY(mutex_);
   std::vector<RandomEntry> wire_random_ GUARDED_BY(mutex_);

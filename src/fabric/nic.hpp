@@ -184,6 +184,7 @@ class Nic {
   /// virtual time (vtime <= clock). Polling never advances the clock past
   /// the present (beyond the per-completion consume overhead).
   Status poll_send(Completion& out);
+  // test-only-ok: NIC tests poll one completion; Photon drains batches.
   Status poll_recv(Completion& out);
   /// Batched non-blocking poll: drain up to out.size() arrived completions
   /// from the CQ in one call (ascending virtual arrival order).
@@ -208,7 +209,9 @@ class Nic {
   Status wait_send(Completion& out, std::uint64_t timeout_ns);
 
   std::size_t in_flight(Rank peer) const;
+  // test-only-ok: two-sided matching oracle for NIC tests.
   std::size_t posted_recvs() const;
+  // test-only-ok: two-sided matching oracle for NIC tests.
   std::size_t parked_sends() const;
 
   /// Forget the per-stream delivery high-water marks kept by reliable

@@ -98,10 +98,9 @@ void PhotonTransport::reap_large_sends() {
 
 std::optional<Parcel> PhotonTransport::poll() {
   reap_large_sends();
-  // Leave service-layer events (DDS handoff signals) queued for their owner:
-  // a lock waiter pumping the parcel engine must not have its handoff
-  // swallowed by the parcel dispatcher.
-  auto ev = ph_.probe_event_unmasked(core::kServiceEventBit);
+  // Keyed events (collective blocks, DDS handoffs) never reach this probe;
+  // Photon files them for take_event() on delivery.
+  auto ev = ph_.probe_event();
   if (!ev) return std::nullopt;
 
   if ((ev->id & kLargeBit) == 0) {

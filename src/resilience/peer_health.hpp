@@ -202,6 +202,7 @@ class PeerHealth {
 
   /// Bumped once per fenced recovery back to Up — the mirror edge of
   /// down_generation; transports re-open per-peer channels when it moves.
+  // test-only-ok: recovery tests check the Up edge counter.
   std::uint64_t up_generation() const noexcept {
     return up_gen_.load(std::memory_order_acquire);
   }

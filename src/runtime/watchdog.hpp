@@ -83,6 +83,7 @@ class Watchdog {
 
   /// Invoked on the monitor thread for every declared stall (in addition to
   /// the stderr report). Set before start().
+  // test-only-ok: chaos tests observe stall reports with it.
   void set_callback(Callback cb) { callback_ = std::move(cb); }
 
   /// Rank-thread beacon: "I am about to block in `op` toward `peer`".

@@ -67,17 +67,6 @@ class Gauge {
   // the approximate-but-untorn read contract.
   void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t n) noexcept { v_.fetch_add(n, std::memory_order_relaxed); }
-  /// Raise to `v` if larger (relaxed CAS loop; used for high-water marks).
-  void max_of(std::int64_t v) noexcept {
-    // relaxed-ok: per-metric monotonic statistics; snapshot() documents
-    // the approximate-but-untorn read contract.
-    std::int64_t cur = v_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           // relaxed-ok: per-metric monotonic statistics; snapshot() documents
-           // the approximate-but-untorn read contract.
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
   // relaxed-ok: per-metric monotonic statistics; snapshot() documents
   // the approximate-but-untorn read contract.
   std::int64_t get() const noexcept { return v_.load(std::memory_order_relaxed); }
@@ -185,6 +174,7 @@ class MetricsRegistry {
   /// Named metric accessors: find-or-create; returned references stay valid
   /// for the registry's lifetime.
   Counter& counter(std::string_view name);
+  // test-only-ok: registry tests; the program publishes no gauge yet.
   Gauge& gauge(std::string_view name);
   LatencyHistogram& histogram(std::string_view name);
 

@@ -64,6 +64,7 @@ class CondVar {
   void wait(LockGuard& g) { cv_.wait(g.lock_); }
 
   /// Bounded wait; false when `timeout` elapsed without a notify.
+  // test-only-ok: annotation tests cover the bounded wait.
   bool wait_for_ns(LockGuard& g, std::uint64_t timeout_ns) {
     return cv_.wait_for(g.lock_, std::chrono::nanoseconds(timeout_ns)) ==
            std::cv_status::no_timeout;

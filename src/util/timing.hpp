@@ -16,6 +16,7 @@ class WallTimer {
   WallTimer() : start_(now_ns()) {}
   void reset() noexcept { start_ = now_ns(); }
   std::uint64_t elapsed_ns() const noexcept { return now_ns() - start_; }
+  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
   double elapsed_s() const noexcept { return static_cast<double>(elapsed_ns()) * 1e-9; }
 
  private:

@@ -140,6 +140,58 @@ TEST(PhotonPwc, EagerOrderIsPreservedPerPeer) {
   });
 }
 
+// Keyed ids (kKeyedEventBit) are filed by (peer, id) at delivery:
+// probe_event never returns them, take_event returns each key's events in
+// delivery order, and discard_events_from clears both stores.
+TEST(PhotonEvents, KeyedIdsBypassTheProbeFifo) {
+  constexpr std::uint64_t kA = kKeyedEventBit | 0xA;
+  constexpr std::uint64_t kB = kKeyedEventBit | kKeyedServiceBit | 0xB;
+  with_photon(2, small_config(), [&](Env& env, Photon& ph) {
+    if (env.rank == 1) {
+      const std::byte first[] = {std::byte{1}};
+      const std::byte second[] = {std::byte{2}};
+      ASSERT_EQ(ph.send_with_completion(0, first, std::nullopt, kA), Status::Ok);
+      ASSERT_EQ(ph.signal(0, kB, kWait), Status::Ok);
+      ASSERT_EQ(ph.send_with_completion(0, second, std::nullopt, kA), Status::Ok);
+      ASSERT_EQ(ph.signal(0, 7, kWait), Status::Ok);
+      env.bootstrap.barrier(env.rank);  // rank 0 took phase one
+      ASSERT_EQ(ph.signal(0, kA, kWait), Status::Ok);
+      ASSERT_EQ(ph.signal(0, 8, kWait), Status::Ok);
+      return;
+    }
+    // Idle-wait until `n` events have been delivered, consuming none.
+    const auto await_delivered = [&](std::uint64_t n) {
+      util::Deadline dl(kWait);
+      std::uint32_t spins = 0;
+      while (ph.stats().events_delivered < n && !dl.expired())
+        ph.idle_wait_step(spins);
+      ASSERT_EQ(ph.stats().events_delivered, n);
+    };
+    await_delivered(4);
+    ProbeEvent ev;
+    ASSERT_EQ(ph.wait_event(ev, kWait), Status::Ok);
+    EXPECT_EQ(ev.id, 7u);
+    EXPECT_EQ(ph.probe_event(), std::nullopt);
+    for (const std::byte want : {std::byte{1}, std::byte{2}}) {
+      const auto a = ph.take_event(1, kA);
+      ASSERT_TRUE(a.has_value());
+      ASSERT_EQ(a->payload.size(), 1u);
+      EXPECT_EQ(a->payload[0], want);
+    }
+    EXPECT_EQ(ph.take_event(1, kA), std::nullopt);
+    const auto b = ph.take_event(1, kB);
+    ASSERT_TRUE(b.has_value());
+    EXPECT_TRUE(b->payload.empty());
+    EXPECT_EQ(ph.take_event(1, kB), std::nullopt);
+    env.bootstrap.barrier(env.rank);
+
+    await_delivered(6);
+    EXPECT_EQ(ph.discard_events_from(1), 2u);
+    EXPECT_EQ(ph.probe_event(), std::nullopt);
+    EXPECT_EQ(ph.take_event(1, kA), std::nullopt);
+  });
+}
+
 TEST(PhotonPwc, RingBackPressureReturnsRetryThenRecovers) {
   Config cfg = small_config();
   cfg.eager_ring_bytes = 4096;

@@ -100,23 +100,6 @@ INSTANTIATE_TEST_SUITE_P(AllOps, FaultMatrix,
                                            OpCode::FetchAdd,
                                            OpCode::CompareSwap));
 
-TEST(FaultInjector, RandomFaultsAreSeededAndBounded) {
-  FaultInjector fi;
-  fi.set_random(0.25, 42);
-  int hits = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (fi.maybe_fail(OpCode::Put)) ++hits;
-  // Deterministic for the seed; roughly a quarter.
-  FaultInjector fi2;
-  fi2.set_random(0.25, 42);
-  int hits2 = 0;
-  for (int i = 0; i < 1000; ++i)
-    if (fi2.maybe_fail(OpCode::Put)) ++hits2;
-  EXPECT_EQ(hits, hits2);
-  EXPECT_GT(hits, 180);
-  EXPECT_LT(hits, 330);
-}
-
 TEST(FaultInjector, PlannedFaultsFireInOrder) {
   FaultInjector fi;
   fi.arm({std::nullopt, Status::InvalidKey, std::nullopt, 1});

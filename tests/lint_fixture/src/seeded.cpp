@@ -5,6 +5,8 @@
 #include <atomic>
 #include <thread>
 
+#include "core/probe.hpp"  // test-only-symbol: see the header
+
 void seeded_fixture(std::atomic<int>& a, unsigned long long vtime,
                     unsigned long long meta) {
   a.load(std::memory_order_relaxed);  // missing justification comment

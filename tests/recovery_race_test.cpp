@@ -80,7 +80,7 @@ TEST(RecoveryRace, ShrinkRejoinDuringInflightCollective) {
       v = {env.rank + 1ull};
       comm.allreduce(std::span(v), coll::ReduceOp::kSum);
       EXPECT_EQ(v[0], 7u);  // 1+2+4: the victim's contribution is gone
-      EXPECT_EQ(comm.group_size(), 3u);
+      EXPECT_EQ(comm.group().size(), 3u);
     }
     env.bootstrap.barrier(env.rank);
 

@@ -331,7 +331,7 @@ TEST(CollShrinkRejoin, CollectivesSurviveShrinkThenRejoin) {
     if (env.rank != 2) {
       // Survivors contract the group and keep computing.
       EXPECT_EQ(comm.shrink(), 1u);
-      EXPECT_EQ(comm.group_size(), 2u);
+      EXPECT_EQ(comm.group().size(), 2u);
       std::vector<std::uint64_t> w{env.rank + 10ull};
       comm.allreduce(std::span(w), coll::ReduceOp::kSum);
       EXPECT_EQ(w[0], 21u);  // 10+11
@@ -339,7 +339,7 @@ TEST(CollShrinkRejoin, CollectivesSurviveShrinkThenRejoin) {
     } else {
       // The victim's own view never shrank (the outage cut the others'
       // links toward it, not its links toward them).
-      EXPECT_EQ(comm.group_size(), 3u);
+      EXPECT_EQ(comm.group().size(), 3u);
     }
     env.bootstrap.barrier(env.rank);
 
@@ -348,7 +348,7 @@ TEST(CollShrinkRejoin, CollectivesSurviveShrinkThenRejoin) {
 
     // Everyone (survivors and the recovering rank) runs the rejoin.
     EXPECT_EQ(comm.rejoin(2), Status::Ok);
-    EXPECT_EQ(comm.group_size(), 3u);
+    EXPECT_EQ(comm.group().size(), 3u);
 
     // Full-group collectives flow again, byte-exact.
     std::vector<std::uint64_t> z{env.rank + 100ull};

@@ -107,8 +107,8 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableObjects) {
   EXPECT_EQ(&reg.counter("x"), &a);
   EXPECT_EQ(reg.counter("x").get(), 3u);
   Gauge& g = reg.gauge("hw");
-  g.max_of(10);
-  g.max_of(7);  // lower: no effect
+  g.set(10);
+  EXPECT_EQ(&reg.gauge("hw"), &g);
   EXPECT_EQ(reg.gauge("hw").get(), 10);
 }
 

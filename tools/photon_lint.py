@@ -32,6 +32,15 @@ thread-safety analysis leg is unavailable):
                        src/, bench/, examples/ or perfbench/ other than its
                        own .cpp; a header only tests reach is flagged unless
                        it carries a `test-only-ok:` reason.
+  test-only-symbol     every public member function declared in a
+                       src/**/*.hpp class is named somewhere under src/,
+                       bench/, examples/ or perfbench/ besides its own
+                       declarations and out-of-class definitions (calls
+                       from its own .cpp count). A member only tests call is
+                       flagged unless its declaration line or the comment
+                       block right above it carries a `test-only-ok:` reason.
+                       Matching is by name, so a name shared with any used
+                       function counts as used.
 
 Usage:
   tools/photon_lint.py [--root DIR] [--format text|json]
@@ -147,7 +156,17 @@ ALL_RULES = (
     "foreign-nic-state",
     "idle-wait-copy",
     "test-only-module",
+    "test-only-symbol",
 )
+
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+CLASS_HEAD_RE = re.compile(r"\b(class|struct|union)\s+(?:alignas\([^)]*\)\s*)?(\w*)")
+# Words that precede '(' in a member declaration without naming a function.
+NOT_A_MEMBER_NAME = {
+    "alignas", "alignof", "decltype", "noexcept", "sizeof", "static_assert",
+    "requires", "void", "bool", "char", "int", "long", "short", "unsigned",
+    "signed", "float", "double", "auto", "const", "volatile",
+}
 
 
 def strip_comment(line: str) -> str:
@@ -270,6 +289,213 @@ def lint_file(relpath: str, text: str, rules, allow):
     return findings
 
 
+def strip_code(text: str) -> str:
+    """Blank comments, string/char literals and preprocessor lines, keeping
+    every other character at its offset (newlines survive)."""
+    out = list(text)
+    i, n = 0, len(text)
+    line_start = True
+    while i < n:
+        c = text[i]
+        if line_start and c == "#":
+            while i < n and text[i] != "\n":
+                out[i] = " "
+                i += 1
+            continue
+        if c == "\n":
+            line_start = True
+            i += 1
+            continue
+        if not c.isspace():
+            line_start = False
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                out[i] = " "
+                i += 1
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            for k in range(i, end):
+                if text[k] != "\n":
+                    out[k] = " "
+            i = end
+        elif c == '"' or (c == "'" and not text[i - 1 : i].isalnum()):
+            # (a quote after a digit is a separator: 30'000'000)
+            k = i + 1
+            while k < n and text[k] != c and text[k] != "\n":
+                k += 2 if text[k] == "\\" else 1
+            for m in range(i + 1, min(k, n)):
+                out[m] = " "
+            i = k + 1 if k < n and text[k] == c else k
+        else:
+            i += 1
+    return "".join(out)
+
+
+def member_function_name(head: str, class_name: str):
+    """Name of the member function a class-body declaration head declares
+    (the text before its body or ';'), or None for data members, types,
+    constructors, destructors, operators and friends."""
+    head = head.split("{", 1)[0]
+    if re.search(r"\b(friend|using|typedef|operator|static_assert)\b", head):
+        return None
+    head = re.sub(r"^\s*template\s*<", "<", head)
+    angle = 0
+    for k, c in enumerate(head):
+        if c == "<":
+            angle += 1
+        elif c == ">" and head[k - 1 : k] != "-":
+            angle = max(0, angle - 1)
+        elif c == "=" and angle == 0:
+            return None
+        elif c == "(" and angle == 0:
+            m = re.search(r"(~?)([A-Za-z_]\w*)\s*$", head[:k])
+            if not m or m.group(1) or m.group(2) == class_name:
+                return None
+            name = m.group(2)
+            if name in NOT_A_MEMBER_NAME or re.fullmatch(r"[A-Z0-9_]+", name):
+                return None
+            return name, m.start(2)
+    return None
+
+
+def member_declarations(code: str):
+    """Yield (name, offset, public) for each member function declared in a
+    class body of comment-stripped `code`; public means reachable from
+    outside (a public member of a class nested in a private section is not)."""
+    # Frames: [kind, class name, access, paren depth, statement start,
+    #          function seen, exported]; kind is "class", "body" (a function
+    #          body or namespace: the statement restarts after it) or "init"
+    #          (a brace initializer or enum: the statement continues after it).
+    frames = [["body", "", "", 0, 0, False, True]]
+    def exported(frame):
+        return frame[6] and frame[2] == "public"
+
+    i = 0
+    n = len(code)
+    while i < n:
+        c = code[i]
+        top = frames[-1]
+        if c == "(":
+            top[3] += 1
+        elif c == ")":
+            top[3] = max(0, top[3] - 1)
+        elif top[3] == 0 and c in ";{}:":
+            head = code[top[4] : i]
+            if c == ":" and top[0] == "class":
+                word = head.strip()
+                if word in ("public", "private", "protected"):
+                    top[2] = word
+                    top[4] = i + 1
+            elif c == ";":
+                if top[0] == "class" and not top[5]:
+                    found = member_function_name(head, top[1])
+                    if found:
+                        yield found[0], top[4] + found[1], exported(top)
+                top[4] = i + 1
+                top[5] = False
+            elif c == "{":
+                kind, name, access = "init", "", ""
+                cls = CLASS_HEAD_RE.search(head)
+                if cls and "(" not in head and not re.search(r"\benum\b", head):
+                    kind, name = "class", cls.group(2)
+                    access = "private" if cls.group(1) == "class" else "public"
+                elif top[0] == "class" and not top[5]:
+                    found = member_function_name(head, top[1])
+                    if found:
+                        yield found[0], top[4] + found[1], exported(top)
+                    if "(" in head.split("=", 1)[0]:
+                        kind, top[5] = "body", True
+                elif top[0] != "class" and "=" not in head:
+                    kind = "body"
+                frames.append([kind, name, access, 0, i + 1, False,
+                               top[0] != "class" or exported(top)])
+            elif c == "}" and len(frames) > 1:
+                done = frames.pop()
+                parent = frames[-1]
+                rest = code[i + 1 :].lstrip()
+                # A brace that closes a constructor's member initializer
+                # (followed by ',' or the body's '{') continues the statement.
+                if done[0] == "class" or (
+                    done[0] == "body" and not rest.startswith((",", "{"))
+                ):
+                    parent[4] = i + 1
+                    parent[5] = False
+        i += 1
+
+
+def line_of(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
+def annotated_test_only(lines, lineno: int) -> bool:
+    """`test-only-ok:` on the declaration line or in the comment block (and
+    template line) directly above it."""
+    k = lineno - 1
+    if TEST_ONLY_OK_RE.search(lines[k]):
+        return True
+    k -= 1
+    while k >= 0 and lines[k].strip().startswith(("//", "template")):
+        if TEST_ONLY_OK_RE.search(lines[k]):
+            return True
+        k -= 1
+    return False
+
+
+def lint_test_only_symbols(root: Path, allow):
+    """Flag public member functions of src/ classes that only tests name."""
+    decls = []          # (relpath, name, offset, text) of public members
+    decl_sites = set()  # (relpath, offset) of every member declaration name
+    mentioned = set()   # names the program uses outside their declarations
+    files = []
+    for d in USER_DIRS:
+        base = root / d
+        if base.is_dir():
+            files += [f for f in sorted(base.rglob("*"))
+                      if f.suffix in SOURCE_SUFFIXES and f.is_file()]
+    stripped = {}
+    for f in files:
+        relpath = f.relative_to(root).as_posix()
+        text = f.read_text(errors="replace")
+        code = strip_code(text)
+        stripped[relpath] = code
+        for name, off, public in member_declarations(code):
+            decl_sites.add((relpath, off))
+            if public and relpath.startswith("src/") and relpath.endswith(".hpp"):
+                decls.append((relpath, name, off, text))
+    wanted = {name for _, name, _, _ in decls}
+    for relpath, code in stripped.items():
+        for m in IDENT_RE.finditer(code):
+            name = m.group(0)
+            if name not in wanted or (relpath, m.start()) in decl_sites:
+                continue
+            # Out-of-class definitions start at column 0 as `...Class::name(`.
+            bol = code.rfind("\n", 0, m.start()) + 1
+            if code[m.start() - 2 : m.start()] == "::" and not code[bol].isspace():
+                continue
+            mentioned.add(name)
+
+    findings = []
+    for relpath, name, off, text in decls:
+        if name in mentioned:
+            continue
+        lineno = line_of(text, off)
+        if annotated_test_only(text.splitlines(), lineno):
+            continue
+        if allowed(allow, "test-only-symbol", relpath, lineno):
+            continue
+        findings.append(
+            {
+                "rule": "test-only-symbol",
+                "file": relpath,
+                "line": lineno,
+                "message": f"public member `{name}` is called only from "
+                "tests; delete it (or annotate `test-only-ok:` with a reason)",
+            }
+        )
+    return findings
+
+
 def lint_test_only_modules(root: Path, allow):
     """Flag src/ headers that nothing but their own .cpp (or tests) include."""
     includers = {}  # resolved header path -> resolved paths including it
@@ -340,6 +566,8 @@ def main(argv):
         findings.extend(lint_file(relpath, path.read_text(), rules, allow))
     if "test-only-module" in rules:
         findings.extend(lint_test_only_modules(root, allow))
+    if "test-only-symbol" in rules:
+        findings.extend(lint_test_only_symbols(root, allow))
 
     if args.format == "json":
         print(json.dumps({"violations": findings, "count": len(findings)}, indent=2))

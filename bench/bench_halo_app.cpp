@@ -15,7 +15,6 @@
 #include "benchsupport/report.hpp"
 #include "benchsupport/table.hpp"
 #include "coll/communicator.hpp"
-#include "util/timing.hpp"
 
 using namespace photon;
 using benchsupport::bench_fabric;
@@ -81,18 +80,16 @@ double photon_iter_us(std::size_t nx) {
       }
       // A neighbour that finished early may already have rung the closing
       // barrier; its keyed doorbells wait for comm.barrier(), not this probe.
-      util::Deadline dl(kWait);
-      std::uint32_t spins = 0;
-      while (arrived[it] < expected) {
-        if (auto ev = ph.probe_event()) {
-          ++arrived[static_cast<int>(ev->id >> 8)];
-          spins = 0;
-        } else if (dl.expired()) {
-          throw std::runtime_error("halo wait failed");
-        } else {
-          ph.idle_wait_step(spins);
-        }
-      }
+      const auto landed =
+          ph.wait_for(kWait, [&](bool& progressed) -> std::optional<bool> {
+            if (arrived[it] >= expected) return true;
+            if (auto ev = ph.probe_event()) {
+              ++arrived[static_cast<int>(ev->id >> 8)];
+              progressed = true;
+            }
+            return std::nullopt;
+          });
+      if (!landed) throw std::runtime_error("halo wait failed");
       arrived.erase(it);
       env.clock().add(4 * nx * 2);              // unpack
       env.clock().add(nx * nx * kComputePerCellNs);  // sweep

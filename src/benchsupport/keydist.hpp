@@ -37,8 +37,6 @@ class KeyDist {
     }
   }
 
-  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
-  std::uint64_t domain() const noexcept { return n_; }
   double skew() const noexcept { return s_; }
 
   /// Next frequency rank in [0, n): rank 0 is the hottest key under skew;

@@ -559,53 +559,52 @@ void run_rank(runtime::Env& env, const Schedule& s,
     std::uint32_t expect = 0;
     for (std::uint32_t src = 0; src < n; ++src)
       if (src != me) expect += all_sent[src][me];
-    std::uint32_t got = 0, spins = 0;
+    std::uint32_t got = 0;
     const std::uint64_t drain_start = env.clock().now();
     env.note("parcel_drain");
-    while (got < expect) {
-      if (!inbox.empty()) {
-        const Inbound p = std::move(inbox.front());
-        inbox.pop_front();
-        ++got;
-        if (p.args.size() < kHeader) {
-          fail("payload", "parcel shorter than header");
-          continue;
-        }
-        std::uint32_t hdr[4];
-        std::memcpy(hdr, p.args.data(), kHeader);
-        const auto key = parcel_key(hdr[0], hdr[1], hdr[2]);
-        if (hdr[0] != p.src) {
-          fail("payload", "parcel source mismatch: header says " +
-                              std::to_string(hdr[0]) + ", transport says " +
-                              std::to_string(p.src));
-        } else if (!seen_parcels.insert(key).second) {
-          fail("payload", "duplicate parcel src " + std::to_string(hdr[0]) +
-                              " phase " + std::to_string(hdr[1]) + " idx " +
-                              std::to_string(hdr[2]));
-        } else {
-          const auto body =
-              chaos_pattern(s, hdr[0], hdr[1], hdr[2], hdr[3]);
-          if (p.args.size() != kHeader + body.size() ||
-              std::memcmp(p.args.data() + kHeader, body.data(),
-                          body.size()) != 0)
-            fail("payload", "parcel body mismatch src " +
-                                std::to_string(hdr[0]) + " phase " +
-                                std::to_string(hdr[1]) + " idx " +
-                                std::to_string(hdr[2]));
-        }
-        spins = 0;
-      } else {
-        dsvc.progress();  // dispatches inbound parcels into the inbox
-        ph.idle_wait_step(spins);
-        if (env.clock().now() - drain_start > 10 * kWait) {
-          fail("payload", "parcel drain timed out at phase " +
-                              std::to_string(phase) + ": got " +
-                              std::to_string(got) + "/" +
-                              std::to_string(expect));
-          break;
-        }
+    // No wall budget: the drain is bounded in virtual time instead.
+    (void)ph.wait_for(util::kNoDeadline, [&](bool& progressed) -> std::optional<bool> {
+      if (got >= expect) return true;
+      if (env.clock().now() - drain_start > 10 * kWait) {
+        fail("payload", "parcel drain timed out at phase " +
+                            std::to_string(phase) + ": got " +
+                            std::to_string(got) + "/" + std::to_string(expect));
+        return false;
       }
-    }
+      if (inbox.empty()) {
+        dsvc.progress();  // dispatches inbound parcels into the inbox
+        return std::nullopt;
+      }
+      progressed = true;
+      const Inbound p = std::move(inbox.front());
+      inbox.pop_front();
+      ++got;
+      if (p.args.size() < kHeader) {
+        fail("payload", "parcel shorter than header");
+        return std::nullopt;
+      }
+      std::uint32_t hdr[4];
+      std::memcpy(hdr, p.args.data(), kHeader);
+      const auto key = parcel_key(hdr[0], hdr[1], hdr[2]);
+      if (hdr[0] != p.src) {
+        fail("payload", "parcel source mismatch: header says " +
+                            std::to_string(hdr[0]) + ", transport says " +
+                            std::to_string(p.src));
+      } else if (!seen_parcels.insert(key).second) {
+        fail("payload", "duplicate parcel src " + std::to_string(hdr[0]) +
+                            " phase " + std::to_string(hdr[1]) + " idx " +
+                            std::to_string(hdr[2]));
+      } else {
+        const auto body = chaos_pattern(s, hdr[0], hdr[1], hdr[2], hdr[3]);
+        if (p.args.size() != kHeader + body.size() ||
+            std::memcmp(p.args.data() + kHeader, body.data(), body.size()) != 0)
+          fail("payload", "parcel body mismatch src " +
+                              std::to_string(hdr[0]) + " phase " +
+                              std::to_string(hdr[1]) + " idx " +
+                              std::to_string(hdr[2]));
+      }
+      return std::nullopt;
+    });
     env.note("quiesce");
     if (tr.quiesce(kWait) != Status::Ok)
       fail("liveness", "transport quiesce failed at phase " +

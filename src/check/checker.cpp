@@ -118,16 +118,6 @@ std::vector<Violation> Checker::take_violations() {
   return out;
 }
 
-std::size_t Checker::live_ops() const {
-  util::LockGuard lock(mutex_);
-  return ops_.size();
-}
-
-std::size_t Checker::live_regions() const {
-  util::LockGuard lock(mutex_);
-  return regions_.size();
-}
-
 // ---- reporting ---------------------------------------------------------------
 
 void Checker::report(Violation v) {

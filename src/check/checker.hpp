@@ -163,12 +163,6 @@ class Checker {
   void note_user_read(fabric::Rank rank, const void* addr, std::size_t len);
   void note_user_write(fabric::Rank rank, const void* addr, std::size_t len);
 
-  // ---- introspection (tests) -----------------------------------------------
-  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
-  std::size_t live_ops() const;
-  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
-  std::size_t live_regions() const;
-
  private:
   struct RegionKey {
     fabric::Rank owner;

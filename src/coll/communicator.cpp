@@ -6,10 +6,8 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <thread>
 
 #include "telemetry/hooks.hpp"
-#include "util/timing.hpp"
 
 namespace photon::coll {
 
@@ -86,26 +84,27 @@ Status Communicator::rejoin(Rank r) {
       if (m != r) ++pending;
     if (pending == 0) return Status::Ok;  // singleton group
     std::uint64_t s = seq_;
-    util::Deadline dl(kCollTimeoutNs);
-    std::uint32_t spins = 0;
-    while (pending > 0) {
-      bool progressed = false;
-      for (const Rank m : group_) {
-        if (m == r || synced[m] != 0) continue;
-        if (auto ev = ph_.take_event(m, kRejoinSyncId)) {
-          std::uint64_t v = 0;
-          std::memcpy(&v, ev->payload.data(),
-                      std::min(ev->payload.size(), sizeof(v)));
-          s = std::max(s, v);
-          synced[m] = 1;
-          --pending;
-          progressed = true;
+    // One poll rescans at once while a scan still finds resyncs.
+    const auto synced_all = ph_.wait_for(kCollTimeoutNs, [&]() -> std::optional<bool> {
+      for (bool progressed = true; progressed && pending > 0;) {
+        progressed = false;
+        for (const Rank m : group_) {
+          if (m == r || synced[m] != 0) continue;
+          if (auto ev = ph_.take_event(m, kRejoinSyncId)) {
+            std::uint64_t v = 0;
+            std::memcpy(&v, ev->payload.data(),
+                        std::min(ev->payload.size(), sizeof(v)));
+            s = std::max(s, v);
+            synced[m] = 1;
+            --pending;
+            progressed = true;
+          }
         }
       }
-      if (pending == 0) break;
-      if (dl.expired()) return Status::Timeout;
-      if (!progressed) ph_.idle_wait_step(spins);
-    }
+      if (pending == 0) return true;
+      return std::nullopt;
+    });
+    if (!synced_all) return Status::Timeout;
     seq_ = s;
     // All streams fenced: anything still queued under an older epoch is
     // addressed to the dead incarnation (in-flight collective doorbells,
@@ -161,9 +160,8 @@ std::uint64_t Communicator::block_id(std::uint32_t round, std::uint32_t chunk,
 }
 
 std::vector<std::byte> Communicator::await(Rank peer, std::uint64_t id) {
-  util::Deadline dl(kCollTimeoutNs);
-  std::uint32_t spins = 0;
-  for (;;) {
+  using Payload = std::vector<std::byte>;
+  auto payload = ph_.wait_for(kCollTimeoutNs, [&]() -> std::optional<Payload> {
     if (auto ev = ph_.take_event(peer, id)) {
       if (discard_stale_) discard_stale_blocks();
       return std::move(ev->payload);
@@ -177,10 +175,11 @@ std::vector<std::byte> Communicator::await(Rank peer, std::uint64_t id) {
       if (member != ph_.rank() && ph_.peer_down(member))
         throw std::runtime_error("collective aborted: rank " +
                                  std::to_string(member) + " unreachable");
-    if (dl.expired())
-      throw std::runtime_error("collective timed out (mismatched calls?)");
-    ph_.idle_wait_step(spins);
-  }
+    return std::nullopt;
+  });
+  if (!payload)
+    throw std::runtime_error("collective timed out (mismatched calls?)");
+  return std::move(*payload);
 }
 
 void Communicator::send_block(Rank peer, std::uint32_t round,

@@ -7,9 +7,7 @@
 
 #include "check/hooks.hpp"
 #include "resilience/crc32c.hpp"
-#include "util/idle_wait.hpp"
 #include "util/log.hpp"
-#include "util/timing.hpp"
 
 namespace photon::core {
 
@@ -789,22 +787,16 @@ Status Photon::try_pool_get(OpKind kind, Rank src_rank, RemoteSlice cells,
 
 // ---- blocking wrappers ----------------------------------------------------------------
 
-void Photon::idle_wait_step(std::uint32_t& spins) {
-  util::idle_step(spins, [this] { return progress_jump(); });
-}
-
 namespace {
 template <typename Fn>
 Status run_blocking(Photon& p, Fn&& try_once, std::uint64_t timeout_ns) {
-  util::LazyDeadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
+  const auto waited = p.wait_for(timeout_ns, [&]() -> std::optional<Status> {
     const Status st = try_once();
     if (!transient(st) || st == Status::NotFound) return st;
-    if (dl.expired()) return Status::Retry;
     p.progress();
-    p.idle_wait_step(spins);
-  }
+    return std::nullopt;
+  });
+  return waited.value_or(Status::Retry);
 }
 }  // namespace
 
@@ -868,16 +860,14 @@ util::Result<LocalComplete> Photon::run_cell_op(TryFn&& try_once,
   const Status posted =
       run_blocking(*this, [&] { return try_once(id); }, timeout_ns);
   if (posted != Status::Ok) return posted;
-  util::LazyDeadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    if (auto c = take_local(id)) {
-      if (c->status != Status::Ok) return c->status;
-      return *c;
-    }
-    if (dl.expired()) return Status::Retry;
-    idle_wait_step(spins);
-  }
+  const auto waited = wait_for(
+      timeout_ns, [&]() -> std::optional<util::Result<LocalComplete>> {
+        auto c = take_local(id);
+        if (!c) return std::nullopt;
+        if (c->status != Status::Ok) return c->status;
+        return *c;
+      });
+  return waited.value_or(Status::Retry);
 }
 
 namespace {
@@ -942,17 +932,14 @@ Status Photon::put_u64(Rank dst, RemoteSlice cell, std::uint64_t value,
 
 Status Photon::flush(Rank dst, std::uint64_t timeout_ns) {
   if (dst >= nranks_) return Status::BadArgument;
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
+  const auto waited = wait_for(timeout_ns, [&]() -> std::optional<Status> {
     progress();
-    if (nic_.in_flight(dst) == 0 && deferred_pending_[dst] == 0) {
-      PHOTON_CHECK_HOOK(nic_.checker().on_flush(rank(), dst));
-      return Status::Ok;
-    }
-    if (dl.expired()) return Status::Retry;
-    idle_wait_step(spins);
-  }
+    if (nic_.in_flight(dst) != 0 || deferred_pending_[dst] != 0)
+      return std::nullopt;
+    PHOTON_CHECK_HOOK(nic_.checker().on_flush(rank(), dst));
+    return Status::Ok;
+  });
+  return waited.value_or(Status::Retry);
 }
 
 // ---- progress & probing -----------------------------------------------------------------
@@ -1035,17 +1022,14 @@ void Photon::on_peer_up(Rank dst, std::uint32_t epoch) {
 }
 
 Status Photon::quiesce(std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
+  const auto waited = wait_for(timeout_ns, [&]() -> std::optional<Status> {
     progress();
-    bool idle = deferred_.empty();
-    for (Rank r = 0; idle && r < nranks_; ++r)
-      if (nic_.in_flight(r) != 0) idle = false;
-    if (idle) return Status::Ok;
-    if (dl.expired()) return Status::Retry;
-    idle_wait_step(spins);
-  }
+    if (!deferred_.empty()) return std::nullopt;
+    for (Rank r = 0; r < nranks_; ++r)
+      if (nic_.in_flight(r) != 0) return std::nullopt;
+    return Status::Ok;
+  });
+  return waited.value_or(Status::Retry);
 }
 
 void Photon::flush_deferred() {
@@ -1469,29 +1453,17 @@ std::optional<Status> Photon::probe_error() {
 }
 
 Status Photon::wait_local(LocalComplete& out, std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    if (auto l = probe_local()) {
-      out = *l;
-      return Status::Ok;
-    }
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+  auto l = wait_for(timeout_ns, [this] { return probe_local(); });
+  if (!l) return Status::NotFound;
+  out = *l;
+  return Status::Ok;
 }
 
 Status Photon::wait_event(ProbeEvent& out, std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    if (auto e = probe_event()) {
-      out = std::move(*e);
-      return Status::Ok;
-    }
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+  auto e = wait_for(timeout_ns, [this] { return probe_event(); });
+  if (!e) return Status::NotFound;
+  out = std::move(*e);
+  return Status::Ok;
 }
 
 // ---- rendezvous ------------------------------------------------------------------------
@@ -1612,15 +1584,15 @@ std::optional<RendezvousBuffer> Photon::take_advert(Rank peer, std::uint64_t tag
 util::Result<RendezvousBuffer> Photon::wait_advert(Rank peer, std::uint64_t tag,
                                                    bool get_side,
                                                    std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    progress();
-    if (auto rb = take_advert(peer, tag, get_side)) return *rb;
-    if (peer < nranks_ && nic_.peer_down(peer)) return Status::PeerUnreachable;
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+  const auto waited = wait_for(
+      timeout_ns, [&]() -> std::optional<util::Result<RendezvousBuffer>> {
+        progress();
+        if (auto rb = take_advert(peer, tag, get_side)) return *rb;
+        if (peer < nranks_ && nic_.peer_down(peer))
+          return Status::PeerUnreachable;
+        return std::nullopt;
+      });
+  return waited.value_or(Status::NotFound);
 }
 
 util::Result<RendezvousBuffer> Photon::wait_send_rq(Rank peer, std::uint64_t tag,
@@ -1752,36 +1724,31 @@ Status Photon::test(RequestId rq, bool& done) {
 util::Result<std::size_t> Photon::wait_any(std::span<const RequestId> rqs,
                                            std::uint64_t timeout_ns) {
   if (rqs.empty()) return Status::BadArgument;
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    progress();
-    for (std::size_t i = 0; i < rqs.size(); ++i) {
-      auto it = requests_.find(rqs[i]);
-      if (it == requests_.end()) return Status::BadArgument;
-      if (it->second.done) {
-        const Status st = it->second.status;
-        requests_.erase(it);
-        if (st != Status::Ok) return st;
-        return i;
-      }
-    }
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+  const auto waited = wait_for(
+      timeout_ns, [&]() -> std::optional<util::Result<std::size_t>> {
+        progress();
+        for (std::size_t i = 0; i < rqs.size(); ++i) {
+          auto it = requests_.find(rqs[i]);
+          if (it == requests_.end()) return Status::BadArgument;
+          if (!it->second.done) continue;
+          const Status st = it->second.status;
+          requests_.erase(it);
+          if (st != Status::Ok) return st;
+          return i;
+        }
+        return std::nullopt;
+      });
+  return waited.value_or(Status::NotFound);
 }
 
 Status Photon::wait(RequestId rq, std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
+  const auto waited = wait_for(timeout_ns, [&]() -> std::optional<Status> {
     bool done = false;
     const Status st = test(rq, done);
-    if (st != Status::Ok) return st;
-    if (done) return Status::Ok;
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+    if (st != Status::Ok || done) return st;
+    return std::nullopt;
+  });
+  return waited.value_or(Status::NotFound);
 }
 
 }  // namespace photon::core

@@ -37,6 +37,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/buffer.hpp"
@@ -48,6 +49,7 @@
 #include "telemetry/hooks.hpp"
 #include "telemetry/oplat.hpp"
 #include "util/expected.hpp"
+#include "util/idle_wait.hpp"
 
 namespace photon::core {
 
@@ -227,11 +229,15 @@ class Photon {
   /// false when nothing is pending. Use only when the rank has nothing
   /// better to do (wait loops call it automatically).
   bool progress_jump();
-  /// One iteration of an idle *wait*: util::idle_step over progress_jump
-  /// (yield once, then jump to the earliest pending virtual event, then
-  /// back off). Used by all blocking loops; public so layered waits
-  /// (collectives, runtimes) share the discipline.
-  void idle_wait_step(std::uint32_t& spins);
+  /// Bounded idle wait: util::wait_until over progress_jump (poll, yield
+  /// once, then jump to the earliest pending virtual event, then back off).
+  /// Used by all blocking loops; public so layered waits (collectives,
+  /// runtimes) share the discipline.
+  template <typename Poll>
+  auto wait_for(std::uint64_t budget_ns, Poll&& poll) {
+    return util::wait_until(budget_ns, std::forward<Poll>(poll),
+                            [this] { return progress_jump(); });
+  }
   /// Next initiator-side completion (local ids), if any.
   std::optional<LocalComplete> probe_local();
   /// Next target-side event (remote ids / eager payloads), if any. Keyed

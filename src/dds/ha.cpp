@@ -3,7 +3,6 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "util/timing.hpp"
 
 namespace photon::dds {
 
@@ -65,8 +64,13 @@ util::Result<fabric::Rank> Directory::resolve(fabric::Rank shard,
     return shard;
   }
   poll_naks();
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
+  const auto waited = ph_.wait_for(
+      timeout_ns, [&] { return try_resolve(shard, timeout_ns); });
+  return waited.value_or(Status::Timeout);
+}
+
+std::optional<util::Result<fabric::Rank>> Directory::try_resolve(
+    fabric::Rank shard, std::uint64_t timeout_ns) {
   for (;;) {
     const std::uint64_t e = entry(shard);
     const fabric::Rank o = entry_owner(e);
@@ -78,11 +82,7 @@ util::Result<fabric::Rank> Directory::resolve(fabric::Rank shard,
     // Fetch the authoritative copy — the one hosted at the survivor — and
     // either adopt a promotion someone else already won or attempt our own.
     auto cur = ph_.get_u64(b, cell(b, shard), timeout_ns);
-    if (!cur.ok()) {
-      if (dl.expired()) return Status::Timeout;
-      ph_.idle_wait_step(spins);
-      continue;
-    }
+    if (!cur.ok()) return std::nullopt;
     if (entry_epoch(cur.value()) > entry_epoch(e)) {
       adopt(shard, cur.value());
       redirects_.add(1);
@@ -96,11 +96,7 @@ util::Result<fabric::Rank> Directory::resolve(fabric::Rank shard,
     const std::uint64_t want = pack(entry_epoch(e) + 1, b);
     auto prior = ph_.compare_swap(b, cell(b, shard), cur.value(), want,
                                   timeout_ns);
-    if (!prior.ok()) {
-      if (dl.expired()) return Status::Timeout;
-      ph_.idle_wait_step(spins);
-      continue;
-    }
+    if (!prior.ok()) return std::nullopt;
     if (prior.value() == cur.value()) {
       // We won the promotion. Hint every other live rank's copy and post
       // shard-epoch NAKs so clients between directory reads redirect too.
@@ -116,7 +112,6 @@ util::Result<fabric::Rank> Directory::resolve(fabric::Rank shard,
       adopt(shard, prior.value());
       redirects_.add(1);
     }
-    if (dl.expired()) return Status::Timeout;
     // Loop re-evaluates: the adopted owner is returned if usable.
   }
 }

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/photon.hpp"
@@ -107,6 +108,11 @@ class Directory {
   void add_state_transfer(std::uint64_t bytes) { state_bytes_.add(bytes); }
 
  private:
+  /// One resolve() pass; nullopt when a remote read or CAS failed, so
+  /// resolve() idles before the next pass.
+  std::optional<util::Result<fabric::Rank>> try_resolve(
+      fabric::Rank shard, std::uint64_t timeout_ns);
+
   core::RemoteSlice cell(fabric::Rank host, fabric::Rank shard) const {
     return core::slice(peers_[host], std::size_t{shard} * 8, 8);
   }

@@ -222,7 +222,7 @@ util::Result<std::uint64_t> HashTable::probe_find(fabric::Rank shard,
                                                   fabric::Rank host,
                                                   std::uint64_t key) {
   auto& ph = svc_.photon();
-  util::LazyDeadline dl(cfg_.op_timeout_ns);
+  util::Deadline dl(cfg_.op_timeout_ns);
   std::uint32_t slot = start_slot(key);
   for (std::uint32_t i = 0; i < cfg_.probe_limit; ++i) {
     // Tag and value in one round trip; the tag is read first, so a

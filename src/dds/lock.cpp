@@ -230,17 +230,17 @@ Status Lock::acquire_rma() {
     Status st = ph.put_u64(pred, core::slice(peer_cells_[pred], 8 * kNextIdx, 8),
                            my_node(), cfg_.op_timeout_ns);
     if (st != Status::Ok) return st;
-    std::uint32_t spins = 0;
-    for (;;) {
-      svc_.progress();  // parcels keep flowing while we park
-      if (ph.take_event(pred, handoff_id_)) {
-        mirror_hint(o, my_node());  // we are the holder now
-        return Status::Ok;
-      }
-      if (ph.peer_down(pred)) return Status::PeerUnreachable;
-      if (dl.expired()) return Status::Timeout;
-      ph.idle_wait_step(spins);
-    }
+    const auto waited = ph.wait_for(
+        cfg_.op_timeout_ns, [&]() -> std::optional<Status> {
+          svc_.progress();  // parcels keep flowing while we park
+          if (ph.take_event(pred, handoff_id_)) {
+            mirror_hint(o, my_node());  // we are the holder now
+            return Status::Ok;
+          }
+          if (ph.peer_down(pred)) return Status::PeerUnreachable;
+          return std::nullopt;
+        });
+    return waited.value_or(Status::Timeout);
   }
 }
 
@@ -275,14 +275,17 @@ Status Lock::release_rma() {
     // on the way (data lands at its post; wait for the store to appear).
     // Back off without jumping: this waits on a host-side store, not on a
     // pending virtual arrival.
-    util::Deadline dl(cfg_.op_timeout_ns);
-    std::uint32_t spins = 0;
-    while ((next = std::atomic_ref<std::uint64_t>(cells_[kNextIdx])
-                       .load(std::memory_order_acquire)) == 0) {
-      if (dl.expired()) return Status::Timeout;
-      svc_.progress();
-      util::idle_backoff(spins);
-    }
+    if (!util::wait_until(
+            cfg_.op_timeout_ns,
+            [&]() -> std::optional<bool> {
+              next = std::atomic_ref<std::uint64_t>(cells_[kNextIdx])
+                         .load(std::memory_order_acquire);
+              if (next != 0) return true;
+              svc_.progress();
+              return std::nullopt;
+            },
+            [] { return false; }))
+      return Status::Timeout;
   }
   return ph.signal(static_cast<fabric::Rank>(next - 1), handoff_id_,
                    cfg_.op_timeout_ns);

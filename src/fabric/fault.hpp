@@ -238,16 +238,6 @@ class FaultInjector {
     update_wire_armed();
   }
 
-  /// Disarm the whole wire plane (random configs, plan, link windows).
-  // test-only-ok: no caller at all; ROADMAP item 8 lists it.
-  void clear_wire() {
-    util::LockGuard lock(mutex_);
-    wire_plan_.clear();
-    wire_random_.clear();
-    windows_.clear();
-    update_wire_armed();
-  }
-
   /// True when any in-flight fault source is armed; the NIC takes its
   /// single-attempt fast path (no CRC, no dedup bookkeeping) when false.
   bool wire_armed() const {

@@ -7,9 +7,7 @@
 #include "check/hooks.hpp"
 #include "resilience/crc32c.hpp"
 #include "telemetry/hooks.hpp"
-#include "util/idle_wait.hpp"
 #include "util/log.hpp"
-#include "util/timing.hpp"
 
 namespace photon::msg {
 
@@ -516,10 +514,6 @@ void Engine::progress() {
   }
 }
 
-void Engine::idle_wait_step(std::uint32_t& spins) {
-  util::idle_step(spins, [this] { return progress_jump(); });
-}
-
 bool Engine::progress_jump() {
   const auto smin = nic_.send_cq().min_vtime();
   const auto rmin = nic_.recv_cq().min_vtime();
@@ -556,16 +550,13 @@ Status Engine::test(ReqId rq, bool& done, RecvInfo* info) {
 }
 
 Status Engine::wait(ReqId rq, RecvInfo* info, std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
+  const auto waited = wait_for(timeout_ns, [&]() -> std::optional<Status> {
     bool done = false;
     const Status st = test(rq, done, info);
-    if (st != Status::Ok) return st;
-    if (done) return Status::Ok;
-    if (dl.expired()) return Status::NotFound;
-    idle_wait_step(spins);
-  }
+    if (st != Status::Ok || done) return st;
+    return std::nullopt;
+  });
+  return waited.value_or(Status::NotFound);
 }
 
 std::optional<RecvInfo> Engine::iprobe(Rank src, Tag tag) {
@@ -582,16 +573,15 @@ std::optional<RecvInfo> Engine::iprobe(Rank src, Tag tag) {
 
 Status Engine::send(Rank dst, Tag tag, std::span<const std::byte> data,
                     std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  for (;;) {
-    auto rq = isend(dst, tag, data);
-    if (rq.ok()) return wait(rq.value(), nullptr, timeout_ns);
-    if (!transient(rq.status())) return rq.status();
-    if (dl.expired()) return Status::Retry;
+  const auto rq = wait_for(timeout_ns, [&]() -> std::optional<util::Result<ReqId>> {
+    auto posted = isend(dst, tag, data);
+    if (posted.ok() || !transient(posted.status())) return posted;
     progress();
-    idle_wait_step(spins);
-  }
+    return std::nullopt;
+  });
+  if (!rq) return Status::Retry;
+  if (!rq->ok()) return rq->status();
+  return wait(rq->value(), nullptr, timeout_ns);
 }
 
 util::Result<RecvInfo> Engine::recv(Rank src, Tag tag, std::span<std::byte> out,

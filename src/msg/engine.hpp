@@ -17,12 +17,14 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fabric/nic.hpp"
 #include "msg/wire.hpp"
 #include "runtime/bootstrap.hpp"
 #include "util/expected.hpp"
+#include "util/idle_wait.hpp"
 
 namespace photon::msg {
 
@@ -105,8 +107,12 @@ class Engine {
   /// Idle-wait step: consume the earliest pending fabric completion even if
   /// its virtual arrival is in the future (jumps the clock). False if none.
   bool progress_jump();
-  /// One idle-wait iteration: util::idle_step over progress_jump.
-  void idle_wait_step(std::uint32_t& spins);
+  /// Bounded idle wait: util::wait_until over progress_jump.
+  template <typename Poll>
+  auto wait_for(std::uint64_t budget_ns, Poll&& poll) {
+    return util::wait_until(budget_ns, std::forward<Poll>(poll),
+                            [this] { return progress_jump(); });
+  }
 
  private:
   void fold_stats() const;

@@ -4,8 +4,6 @@
 
 #include "fabric/nic.hpp"
 #include "telemetry/hooks.hpp"
-#include "util/idle_wait.hpp"
-#include "util/timing.hpp"
 
 namespace photon::parcels {
 
@@ -34,26 +32,27 @@ ParcelEngine::~ParcelEngine() {
 
 void ParcelEngine::send(fabric::Rank dst, HandlerId h,
                         std::span<const std::byte> args) {
-  util::LazyDeadline dl(30'000'000'000ULL);
-  std::uint32_t spins = 0;
-  for (;;) {
-    const Status st = transport_.send(dst, h, args);
-    if (st == Status::Ok) {
-      ++stats_.sent;
-      return;
-    }
-    if (!transient(st))
-      throw std::runtime_error("parcel send failed: " +
-                               std::string(status_name(st)));
-    ++stats_.send_retries;
-    if (dl.expired()) throw std::runtime_error("parcel send timed out");
-    transport_.progress();
-    (void)transport_.progress_jump();
-    // Back-pressure relief may require dispatching inbound parcels (the
-    // peer could be blocked on us) — but never reenter a running handler.
-    if (!in_handler_) (void)progress();
-    util::idle_backoff(spins);
-  }
+  // Each retry jumps eagerly itself, so the idle steps between retries take
+  // the plain back-off (a jump that never succeeds).
+  const auto sent = util::wait_until(
+      30'000'000'000ULL,
+      [&]() -> std::optional<bool> {
+        const Status st = transport_.send(dst, h, args);
+        if (st == Status::Ok) return true;
+        if (!transient(st))
+          throw std::runtime_error("parcel send failed: " +
+                                   std::string(status_name(st)));
+        ++stats_.send_retries;
+        transport_.progress();
+        (void)transport_.progress_jump();
+        // Back-pressure relief may require dispatching inbound parcels (the
+        // peer could be blocked on us) — but never reenter a running handler.
+        if (!in_handler_) (void)progress();
+        return std::nullopt;
+      },
+      [] { return false; });
+  if (!sent) throw std::runtime_error("parcel send timed out");
+  ++stats_.sent;
 }
 
 std::size_t ParcelEngine::progress() {

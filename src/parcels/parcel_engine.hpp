@@ -9,10 +9,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 
 #include "parcels/transport.hpp"
 #include "util/idle_wait.hpp"
-#include "util/timing.hpp"
 
 namespace photon::parcels {
 
@@ -69,19 +69,15 @@ class ParcelEngine {
 
 template <typename Done>
 bool ParcelEngine::run_until(Done&& done, std::uint64_t timeout_ns) {
-  const std::uint64_t deadline =
-      timeout_ns;  // interpreted as a budget from now
-  util::WallTimer timer;
-  std::uint32_t spins = 0;
-  while (!done()) {
-    if (progress() == 0) {
-      if (timer.elapsed_ns() > deadline) return false;
-      util::idle_step(spins, [this] { return transport_.progress_jump(); });
-    } else {
-      spins = 0;
-    }
-  }
-  return true;
+  return util::wait_until(
+             timeout_ns,
+             [&](bool& progressed) -> std::optional<bool> {
+               if (done()) return true;
+               progressed = progress() != 0;
+               return std::nullopt;
+             },
+             [this] { return transport_.progress_jump(); })
+      .has_value();
 }
 
 }  // namespace photon::parcels

@@ -3,8 +3,8 @@
 #include <cstring>
 
 #include "check/hooks.hpp"
+#include "util/idle_wait.hpp"
 #include "util/log.hpp"
-#include "util/timing.hpp"
 
 namespace photon::parcels {
 
@@ -15,6 +15,22 @@ namespace {
 /// Peer FINs normally arrive within microseconds; the bound only matters
 /// when a peer died mid-protocol.
 constexpr std::uint64_t kTeardownDrainNs = 2'000'000'000ULL;
+
+/// Drive `tr` until its `pending` sends have all completed; false when
+/// `budget_ns` ran out first.
+template <typename Pending>
+bool drain(Transport& tr, const Pending& pending, std::uint64_t budget_ns) {
+  if (pending.empty()) return true;
+  return util::wait_until(
+             budget_ns,
+             [&]() -> std::optional<bool> {
+               tr.progress();
+               if (pending.empty()) return true;
+               return std::nullopt;
+             },
+             [&] { return tr.progress_jump(); })
+      .has_value();
+}
 }  // namespace
 
 // ---- PhotonTransport ----------------------------------------------------------
@@ -24,13 +40,7 @@ PhotonTransport::~PhotonTransport() {
   // FIN can arrive after our last poll(). Drain here so the registration and
   // its rendezvous request do not outlive the transport (PhotonCheck reports
   // exactly that leak at finalize).
-  util::Deadline dl(kTeardownDrainNs);
-  while (!pending_large_.empty() && !dl.expired()) {
-    ph_.progress();
-    reap_large_sends();
-    if (!pending_large_.empty()) ph_.progress_jump();
-  }
-  if (!pending_large_.empty())
+  if (!drain(*this, pending_large_, kTeardownDrainNs))
     log::warn("parcels: ", pending_large_.size(),
               " large send(s) still in flight at transport teardown");
 }
@@ -68,17 +78,9 @@ Status PhotonTransport::send(Rank dst, HandlerId h,
 }
 
 Status PhotonTransport::quiesce(std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
   // Pending large-send adverts first: dead peers' requests resolve with
   // PeerUnreachable via the core health sweep, live peers' via their FIN.
-  while (!pending_large_.empty()) {
-    ph_.progress();
-    reap_large_sends();
-    if (pending_large_.empty()) break;
-    if (dl.expired()) return Status::Retry;
-    ph_.idle_wait_step(spins);
-  }
+  if (!drain(*this, pending_large_, timeout_ns)) return Status::Retry;
   return ph_.quiesce(timeout_ns);
 }
 
@@ -148,13 +150,7 @@ std::optional<Parcel> PhotonTransport::poll() {
 // ---- MsgTransport ----------------------------------------------------------------
 
 MsgTransport::~MsgTransport() {
-  util::Deadline dl(kTeardownDrainNs);
-  while (!in_flight_.empty() && !dl.expired()) {
-    eng_.progress();
-    reap_sends();
-    if (!in_flight_.empty()) eng_.progress_jump();
-  }
-  if (!in_flight_.empty())
+  if (!drain(*this, in_flight_, kTeardownDrainNs))
     log::warn("parcels: ", in_flight_.size(),
               " send(s) still in flight at transport teardown");
 }
@@ -179,16 +175,7 @@ Status MsgTransport::send(Rank dst, HandlerId h,
 }
 
 Status MsgTransport::quiesce(std::uint64_t timeout_ns) {
-  util::Deadline dl(timeout_ns);
-  std::uint32_t spins = 0;
-  while (!in_flight_.empty()) {
-    eng_.progress();
-    reap_sends();
-    if (in_flight_.empty()) break;
-    if (dl.expired()) return Status::Retry;
-    eng_.idle_wait_step(spins);
-  }
-  return Status::Ok;
+  return drain(*this, in_flight_, timeout_ns) ? Status::Ok : Status::Retry;
 }
 
 void MsgTransport::reap_sends() {

@@ -2,15 +2,15 @@
 //
 // Everything in this reproduction is paced by virtual time — a healthy rank
 // advances its VClock whenever it completes wire ops, charges compute, or
-// idles through idle_wait_step. A rank that spins in a progress loop waiting
-// for a frame that will never arrive (permanent link cut, auto_recover off,
-// fast-fail latch never tripped) burns wall-clock *without* advancing
-// virtual time. The watchdog samples every rank's VClock from a monitor
-// thread; when no rank makes vtime progress for a wall-clock budget it
-// declares a stall and emits an attributed report naming, per rank, the
-// last operation beacon (what the rank said it was doing), the peer it was
-// aimed at, and that peer's health state and epoch as seen from the stuck
-// rank's NIC.
+// idles through util::wait_until (Photon::wait_for). A rank that spins in a
+// progress loop waiting for a frame that will never arrive (permanent link
+// cut, auto_recover off, fast-fail latch never tripped) burns wall-clock
+// *without* advancing virtual time. The watchdog samples every rank's
+// VClock from a monitor thread; when no rank makes vtime progress for a
+// wall-clock budget it declares a stall and emits an attributed report
+// naming, per rank, the last operation beacon (what the rank said it was
+// doing), the peer it was aimed at, and that peer's health state and epoch
+// as seen from the stuck rank's NIC.
 //
 // Opt-in, zero-cost when disabled: Cluster::run starts the monitor only
 // when a config with enabled=true is attached (programmatically or via

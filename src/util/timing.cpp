@@ -1,5 +1,7 @@
 #include "util/timing.hpp"
 
+#include <chrono>
+
 namespace photon::util {
 
 std::uint64_t now_ns() noexcept {

@@ -1,5 +1,5 @@
-// API-surface tests: wait_any, backend calibrations, registration edge
-// cases, and misuse handling.
+// API-surface tests: wait_any, blocking-wait timeouts, backend calibrations,
+// registration edge cases, and misuse handling.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,6 +9,8 @@
 #include "check/checker.hpp"
 #include "core/photon.hpp"
 #include "fabric/calibrations.hpp"
+#include "msg/engine.hpp"
+#include "parcels/parcel_engine.hpp"
 #include "runtime/cluster.hpp"
 #include "test_helpers.hpp"
 #include "util/timing.hpp"
@@ -208,6 +210,78 @@ TEST(Flush, DrainsInFlightOpsAndDeferredNotifies) {
 TEST(Flush, BadRankRejected) {
   with_photon(2, [](Env&, Photon& ph) {
     EXPECT_EQ(ph.flush(99, 1000), Status::BadArgument);
+  });
+}
+
+// Under a zero budget, with nothing able to arrive in time, each blocking
+// wait gives up after one poll with its own timeout status.
+TEST(BlockingWaits, TimeoutStatusesAreUnchanged) {
+  Cluster cluster(photon::testing::timed_fabric(2));
+  cluster.run(photon::testing::abort_on_fatal_failure([](Env& env) {
+    Photon ph(env.nic, env.bootstrap, Config{});
+    std::vector<std::byte> buf(4096);
+    const auto desc = ph.register_buffer(buf.data(), buf.size()).value();
+    const auto peers = ph.exchange_descriptors(desc);
+    const fabric::Rank peer = env.rank ^ 1u;
+    LocalComplete lc;
+    ProbeEvent ev;
+    EXPECT_EQ(ph.wait_local(lc, 0), Status::NotFound);
+    EXPECT_EQ(ph.wait_event(ev, 0), Status::NotFound);
+    EXPECT_EQ(ph.wait_send_rq(peer, 99, 0).status(), Status::NotFound);
+    if (env.rank == 1) {
+      // The request completes only on the FIN rank 0 sends after the barrier.
+      const auto rq = ph.post_recv_buffer_rq(0, desc, 1);
+      ASSERT_TRUE(rq.ok());
+      const std::array<RequestId, 1> rqs{rq.value()};
+      EXPECT_EQ(ph.wait(rqs[0], 0), Status::NotFound);
+      EXPECT_EQ(ph.wait_any(rqs, 0).status(), Status::NotFound);
+      env.bootstrap.barrier(env.rank);
+      EXPECT_EQ(ph.wait(rqs[0], kWait), Status::Ok);
+    } else {
+      env.bootstrap.barrier(env.rank);
+      const auto rb = ph.wait_send_rq(1, 1, kWait);
+      ASSERT_TRUE(rb.ok());
+      ASSERT_EQ(ph.send_fin(1, rb.value()), Status::Ok);
+      // A put's completion lands in the virtual future of its post.
+      ASSERT_EQ(ph.put_with_completion(1, local_slice(desc, 0, 64),
+                                       slice(peers[1], 2048, 64), 7,
+                                       std::nullopt, kWait),
+                Status::Ok);
+      EXPECT_EQ(env.nic.in_flight(1), 1u);
+      EXPECT_EQ(ph.flush(1, 0), Status::Retry);
+      EXPECT_EQ(ph.quiesce(0), Status::Retry);
+      EXPECT_EQ(ph.flush(1, kWait), Status::Ok);
+      EXPECT_EQ(ph.wait_local(lc, kWait), Status::Ok);
+      EXPECT_EQ(lc.id, 7u);
+    }
+    env.bootstrap.barrier(env.rank);
+  }));
+
+  Cluster msg_cluster(quiet_fabric(2));
+  msg_cluster.run(photon::testing::abort_on_fatal_failure([](Env& env) {
+    msg::Engine eng(env.nic, env.bootstrap, msg::Config{});
+    std::vector<std::byte> out(64);
+    if (env.rank == 1) {
+      const auto rq = eng.irecv(0, 5, out);
+      ASSERT_TRUE(rq.ok());
+      EXPECT_EQ(eng.wait(rq.value(), nullptr, 0), Status::NotFound);
+      env.bootstrap.barrier(env.rank);
+      EXPECT_EQ(eng.wait(rq.value(), nullptr, kWait), Status::Ok);
+    } else {
+      env.bootstrap.barrier(env.rank);
+      EXPECT_EQ(eng.send(1, 5, out, kWait), Status::Ok);
+    }
+    env.bootstrap.barrier(env.rank);
+  }));
+
+  Cluster parcel_cluster(quiet_fabric(2));
+  parcel_cluster.run([](Env& env) {
+    Photon ph(env.nic, env.bootstrap, Config{});
+    parcels::PhotonTransport tr(ph);
+    parcels::HandlerRegistry reg;
+    parcels::ParcelEngine eng(tr, reg);
+    EXPECT_FALSE(eng.run_until([] { return false; }, 0));
+    env.bootstrap.barrier(env.rank);
   });
 }
 

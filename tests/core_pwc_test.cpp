@@ -161,10 +161,10 @@ TEST(PhotonEvents, KeyedIdsBypassTheProbeFifo) {
     }
     // Idle-wait until `n` events have been delivered, consuming none.
     const auto await_delivered = [&](std::uint64_t n) {
-      util::Deadline dl(kWait);
-      std::uint32_t spins = 0;
-      while (ph.stats().events_delivered < n && !dl.expired())
-        ph.idle_wait_step(spins);
+      (void)ph.wait_for(kWait, [&]() -> std::optional<bool> {
+        if (ph.stats().events_delivered < n) return std::nullopt;
+        return true;
+      });
       ASSERT_EQ(ph.stats().events_delivered, n);
     };
     await_delivered(4);

@@ -14,4 +14,6 @@ void seeded_fixture(std::atomic<int>& a, unsigned long long vtime,
     (void)(meta & 1u);                // direct ledger meta bit access
   }
   std::this_thread::yield();          // hand-rolled idle wait
+  unsigned spins = 0;
+  idle_backoff(spins);                // hand-rolled wait loop
 }

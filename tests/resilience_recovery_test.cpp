@@ -393,21 +393,18 @@ TEST(RecoverySoak, LinkFlapDuringMixedWorkloadStaysClean) {
         const auto body = pattern(96, round * 64 + i + env.rank * 31);
         ASSERT_EQ(tr.send(peer, 1, body), Status::Ok);
       }
-      int got = 0;
-      std::uint32_t spins = 0;
-      while (got < kParcels) {
-        if (auto p = tr.poll()) {
-          EXPECT_EQ(p->handler, 1u);
-          EXPECT_EQ(p->src, peer);
-          const auto expect = pattern(96, round * 64 + got + peer * 31);
-          ASSERT_EQ(p->args.size(), expect.size());
-          EXPECT_EQ(
-              std::memcmp(p->args.data(), expect.data(), expect.size()), 0);
-          ++got;
-        } else {
-          tr.progress();
-          ph.idle_wait_step(spins);
-        }
+      for (int got = 0; got < kParcels; ++got) {
+        const auto p = ph.wait_for(util::kNoDeadline, [&] {
+          auto parcel = tr.poll();
+          if (!parcel) tr.progress();
+          return parcel;
+        });
+        EXPECT_EQ(p->handler, 1u);
+        EXPECT_EQ(p->src, peer);
+        const auto expect = pattern(96, round * 64 + got + peer * 31);
+        ASSERT_EQ(p->args.size(), expect.size());
+        EXPECT_EQ(std::memcmp(p->args.data(), expect.data(), expect.size()),
+                  0);
       }
     };
     // Rank 0 pushes a fresh pattern into the peer's buffer and reads it

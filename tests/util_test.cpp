@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -85,10 +86,10 @@ TEST(Rng, UnitInHalfOpenInterval) {
   }
 }
 
-TEST(LazyDeadline, BudgetCountsFromTheFirstCheck) {
-  util::LazyDeadline zero(0);
-  EXPECT_TRUE(zero.expired());  // a zero budget fails the first check, as Deadline's
-  util::LazyDeadline lazy(20'000'000);  // 20 ms
+TEST(Deadline, BudgetCountsFromTheFirstCheck) {
+  util::Deadline zero(0);
+  EXPECT_TRUE(zero.expired());  // a zero budget fails the first check
+  util::Deadline lazy(20'000'000);  // 20 ms
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(lazy.expired());  // armed here, not at construction
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -128,6 +129,64 @@ TEST(IdleWait, BackoffCountsThroughTheSleepThreshold) {
     util::idle_backoff(spins);
     EXPECT_EQ(spins, i);
   }
+}
+
+// wait_until: poll first, idle_step between empty polls. The log records
+// each poll ('P') and each jump ('J'); an idle step that logs no 'J' yielded.
+TEST(WaitUntil, FirstPollSuccessReturnsAtOnce) {
+  std::string log;
+  const auto r = util::wait_until(
+      util::kNoDeadline,
+      [&] {
+        log += 'P';
+        return std::optional<int>(7);
+      },
+      [&] {
+        log += 'J';
+        return true;
+      });
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(*r, 7);
+  EXPECT_EQ(log, "P");  // no jump, no idle step
+}
+
+TEST(WaitUntil, ZeroBudgetPollsOnceThenGivesUp) {
+  std::string log;
+  const auto r = util::wait_until(
+      0,
+      [&] {
+        log += 'P';
+        return std::optional<int>();
+      },
+      [&] {
+        log += 'J';
+        return true;
+      });
+  EXPECT_FALSE(r.has_value());
+  EXPECT_EQ(log, "P");
+}
+
+TEST(WaitUntil, ReportedProgressRestartsTheIdleSequence) {
+  std::string log;
+  int polls = 0;
+  const auto r = util::wait_until(
+      util::kNoDeadline,
+      [&](bool& progressed) -> std::optional<int> {
+        log += 'P';
+        ++polls;
+        if (polls == 6) return polls;
+        progressed = polls == 3;
+        return std::nullopt;
+      },
+      [&] {
+        log += 'J';
+        return false;
+      });
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(*r, 6);
+  // Empty, yield, empty, jump, progress (no step), empty, yield (not a
+  // jump: the sequence started over), empty, jump, success.
+  EXPECT_EQ(log, "PPJPPPJP");
 }
 
 // ---- minimal JSON well-formedness validator ---------------------------------

@@ -28,6 +28,11 @@ thread-safety analysis leg is unavailable):
                        sleep_for or sleep_until anywhere else is flagged
                        unless it carries an `idle-ok:` justification on the
                        same line or the line above.
+  wait-loop-copy       in src/, blocking loops wait through util::wait_until:
+                       a call to idle_step( or idle_backoff( outside
+                       util/idle_wait.hpp is flagged unless it carries an
+                       `idle-ok:` justification on the same line or the line
+                       above.
   test-only-module     every src/**/*.hpp is included by some file under
                        src/, bench/, examples/ or perfbench/ other than its
                        own .cpp; a header only tests reach is flagged unless
@@ -140,6 +145,7 @@ OTHER_SLOT_RE = re.compile(r"\bcounters_\s*\.\s*from\(\s*(?!rank_\s*\))")
 
 IDLE_WAIT_RE = re.compile(r"\bthis_thread::yield\b|\bsleep_for\b|\bsleep_until\b")
 IDLE_OK_RE = re.compile(r"idle-ok:")
+WAIT_LOOP_RE = re.compile(r"\b(?:idle_step|idle_backoff)\s*\(")
 
 # Trees whose includes make a src/ header part of the program (tests/ does
 # not count: a module only tests include is dead weight in src/).
@@ -155,6 +161,7 @@ ALL_RULES = (
     "ledger-meta-accessor",
     "foreign-nic-state",
     "idle-wait-copy",
+    "wait-loop-copy",
     "test-only-module",
     "test-only-symbol",
 )
@@ -282,8 +289,22 @@ def lint_file(relpath: str, text: str, rules, allow):
             emit(
                 "idle-wait-copy",
                 i,
-                "yield/sleep outside the idle-wait rule; call util::idle_step "
-                "or util::idle_backoff (or annotate `idle-ok:` with a reason)",
+                "yield/sleep outside the idle-wait rule; wait through "
+                "util::wait_until (or annotate `idle-ok:` with a reason)",
+            )
+
+        if (
+            "wait-loop-copy" in rules
+            and relpath.startswith("src/")
+            and relpath != IDLE_WAIT_FILE
+            and WAIT_LOOP_RE.search(code)
+            and not any(IDLE_OK_RE.search(l) for l in lines[max(0, i - 2) : i])
+        ):
+            emit(
+                "wait-loop-copy",
+                i,
+                "hand-written wait loop around idle_step/idle_backoff; wait "
+                "through util::wait_until (or annotate `idle-ok:` with a reason)",
             )
 
     return findings

@@ -142,6 +142,7 @@ CasResult cas_contended(std::uint32_t nranks) {
             seen = c.result + 1;  // success; expect our own value next
             // Encourage real-time interleaving on the single-core host so
             // contention actually manifests (virtual time is unaffected).
+            // idle-ok: provokes host contention; this yield waits for nothing.
             std::this_thread::yield();
             break;
           }

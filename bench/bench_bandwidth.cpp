@@ -86,6 +86,9 @@ double twosided_bw_mbps(std::size_t size) {
         }
         if (window.empty()) {
           eng.progress();
+          // Waiting through wait_for (yield first, then jump) moves this
+          // bench's pinned virtual time, so the step stays jump-first.
+          // idle-ok: jump-first idle step that the pinned vtime depends on.
           if (!eng.progress_jump()) std::this_thread::yield();
           if (dl.expired()) throw std::runtime_error("stalled");
           continue;

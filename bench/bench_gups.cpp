@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
-#include <thread>
 
 #include "benchsupport/harness.hpp"
 #include "benchsupport/report.hpp"
@@ -73,7 +72,6 @@ double twosided_mups(std::uint32_t nranks) {
     std::size_t sent = 0, acked = 0, served = 0;
     const std::size_t expect_serve = kUpdatesPerRank;  // expectation: uniform
     std::uint64_t done_peers = 0;
-    util::Deadline dl(kWait);
     auto serve_one = [&]() -> bool {
       auto info = eng.iprobe(msg::kAnySource, msg::kAnyTag);
       if (!info) return false;
@@ -98,28 +96,32 @@ double twosided_mups(std::uint32_t nranks) {
       }
       return true;
     };
-    while (sent < stream.size() || acked < sent) {
-      bool moved = false;
-      if (sent < stream.size() && sent - acked < kWindow) {
-        std::uint64_t slot = stream[sent].slot;
-        if (eng.send(stream[sent].rank, 1, std::as_bytes(std::span(&slot, 1)),
-                     kWait) != Status::Ok)
-          throw std::runtime_error("request failed");
-        ++sent;
-        moved = true;
-      }
-      while (serve_one()) moved = true;
-      if (!moved && !eng.progress_jump()) std::this_thread::yield();
-      if (dl.expired()) throw std::runtime_error("gups stalled");
-    }
+    const auto issued =
+        eng.wait_for(kWait, [&](bool& moved) -> std::optional<bool> {
+          if (sent == stream.size() && acked == sent) return true;
+          if (sent < stream.size() && sent - acked < kWindow) {
+            std::uint64_t slot = stream[sent].slot;
+            if (eng.send(stream[sent].rank, 1, std::as_bytes(std::span(&slot, 1)),
+                         kWait) != Status::Ok)
+              throw std::runtime_error("request failed");
+            ++sent;
+            moved = true;
+          }
+          while (serve_one()) moved = true;
+          return std::nullopt;
+        });
+    if (!issued) throw std::runtime_error("gups stalled");
     // Tell peers we are done issuing; keep serving until all are done.
     for (std::uint32_t r = 0; r < env.size; ++r)
       if (r != env.rank && eng.send(r, 3, {}, kWait) != Status::Ok)
         throw std::runtime_error("done send failed");
-    while (done_peers < env.size - 1) {
-      if (!serve_one() && !eng.progress_jump()) std::this_thread::yield();
-      if (dl.expired()) throw std::runtime_error("gups drain stalled");
-    }
+    const auto drained =
+        eng.wait_for(kWait, [&](bool& moved) -> std::optional<bool> {
+          if (done_peers == env.size - 1) return true;
+          moved = serve_one();
+          return std::nullopt;
+        });
+    if (!drained) throw std::runtime_error("gups drain stalled");
     (void)expect_serve;
     (void)served;
   });

@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <deque>
-#include <thread>
 #include <map>
 
 #include "benchsupport/harness.hpp"
@@ -91,37 +90,35 @@ double twosided_rate_mops(std::size_t window) {
     if (env.rank == 0) {
       std::deque<msg::ReqId> inflight;
       std::size_t posted = 0;
-      util::Deadline dl(kWait);
-      while (posted < kCount || !inflight.empty()) {
-        bool moved = false;
-        while (posted < kCount && inflight.size() < window) {
-          payload = posted;
-          auto rq = eng.isend(1, 3, std::as_bytes(std::span(&payload, 1)));
-          if (!rq.ok()) {
-            if (!transient(rq.status()))
-              throw std::runtime_error("isend failed");
-            break;
-          }
-          inflight.push_back(rq.value());
-          ++posted;
-          moved = true;
-        }
-        if (!inflight.empty()) {
-          bool done = false;
-          if (eng.test(inflight.front(), done) != Status::Ok)
-            throw std::runtime_error("test failed");
-          if (done) {
-            inflight.pop_front();
-            moved = true;
-          }
-        } else {
-          eng.progress();
-        }
-        // Stalled: jump to the next pending virtual event; yield the core
-        // to the receiver when even that is empty.
-        if (!moved && !eng.progress_jump()) std::this_thread::yield();
-        if (dl.expired()) throw std::runtime_error("stalled");
-      }
+      const auto drained =
+          eng.wait_for(kWait, [&](bool& moved) -> std::optional<bool> {
+            if (posted == kCount && inflight.empty()) return true;
+            while (posted < kCount && inflight.size() < window) {
+              payload = posted;
+              auto rq = eng.isend(1, 3, std::as_bytes(std::span(&payload, 1)));
+              if (!rq.ok()) {
+                if (!transient(rq.status()))
+                  throw std::runtime_error("isend failed");
+                break;
+              }
+              inflight.push_back(rq.value());
+              ++posted;
+              moved = true;
+            }
+            if (!inflight.empty()) {
+              bool done = false;
+              if (eng.test(inflight.front(), done) != Status::Ok)
+                throw std::runtime_error("test failed");
+              if (done) {
+                inflight.pop_front();
+                moved = true;
+              }
+            } else {
+              eng.progress();
+            }
+            return std::nullopt;
+          });
+      if (!drained) throw std::runtime_error("stalled");
     } else {
       std::uint64_t sink = 0;
       for (std::size_t i = 0; i < kCount; ++i) {

@@ -271,6 +271,8 @@ void BM_Handoff(benchmark::State& st) {
         // Only this thread pushes, so size() can only overstate the backlog.
         while (room == 0) {
           room = kDepth - cq.size();
+          // A bare CQ microbench: no rank or virtual clock to idle-wait on.
+          // idle-ok: producer backpressure while the consumer drains.
           if (room == 0) std::this_thread::yield();
         }
         c.wr_id = i;

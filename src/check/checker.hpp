@@ -20,7 +20,9 @@
 //                     except that validation failures re-report as kBadSlice
 //                     (class 4 is detected by the nic synchronously, so the
 //                     failed post *is* the violation).
-// begin_op is silent so that try_*/retry loops never double-report.
+// begin_op is silent so that try_*/retry loops never double-report. The
+// three phases run in one place, check::PostGuard (check/hooks.hpp): core
+// and msg posts construct a guard instead of calling them directly.
 //
 // Threading: one mutex; hooks are called from every rank thread. The checker
 // takes no other locks, so any caller-held lock ordering is one-way.

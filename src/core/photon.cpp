@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "check/hooks.hpp"
 #include "resilience/crc32c.hpp"
@@ -219,18 +220,35 @@ void Photon::maybe_return_credits(Rank src) {
   ++stats_.credit_returns;
 }
 
-// ---- op records / requests ----------------------------------------------------------
+// ---- posts / requests -------------------------------------------------------------
 
-std::uint64_t Photon::alloc_op(OpRecord rec) {
-  rec.in_use = true;
-  if (!free_ops_.empty()) {
-    const std::uint64_t idx = free_ops_.back();
-    free_ops_.pop_back();
-    ops_[idx] = rec;
-    return idx;
+template <typename Post>
+Status Photon::post_op(check::PostGuard* guard, OpRecord* rec, Post&& post) {
+  std::uint64_t wr_id = 0;
+  if (rec != nullptr) {
+    if (guard != nullptr) rec->check_serial = guard->serial();
+    wr_id = ops_.alloc(*rec);
   }
-  ops_.push_back(rec);
-  return ops_.size() - 1;
+  const Status st = post(wr_id);
+  if (st != Status::Ok) {
+    if (wr_id != 0) ops_.release(wr_id);
+    return st;
+  }
+  if (guard != nullptr) guard->commit();
+  return Status::Ok;
+}
+
+Status Photon::ring_doorbell(Rank dst, std::uint64_t remote_id,
+                             std::uint64_t post_vt, const char* what) {
+  const Status sig =
+      ledger_signal(dst, remote_id, false, /*chained=*/true, post_vt);
+  if (sig == Status::Ok) return Status::Ok;
+  // Payload already landed but the doorbell could not be rung; surface
+  // loudly — this indicates a headroom accounting bug.
+  log::error("photon: ", what, " doorbell failed after payload: ",
+             status_name(sig));
+  PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(dst, rank(), remote_id));
+  return Status::ProtocolError;
 }
 
 RequestId Photon::alloc_request(Rank peer, bool remote) {
@@ -262,8 +280,8 @@ void Photon::complete_request(RequestId rq, Status st) {
 
 Status Photon::eager_send(Rank dst, MsgKind kind, std::uint64_t id,
                           std::span<const std::byte> payload,
-                          std::optional<std::uint64_t> local_id, OpKind op_kind,
-                          RequestId request, std::uint64_t check_serial) {
+                          std::optional<std::uint64_t> local_id,
+                          check::PostGuard* guard) {
   if (peer_failed_[dst]) return Status::Disconnected;
   const std::size_t R = cfg_.eager_ring_bytes;
   const std::size_t footprint = ring_footprint(payload.size());
@@ -313,31 +331,17 @@ Status Photon::eager_send(Rank dst, MsgKind kind, std::uint64_t id,
 
   // Eager imm aux bits are otherwise unused: carry the post vtime so the
   // target can measure post→delivery without growing any wire structure.
-  const std::uint64_t post_vt = PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-  std::uint64_t wr_id = 0;
-  const bool signaled = local_id.has_value() || request != kInvalidRequest;
-  if (signaled) {
-    OpRecord rec;
-    rec.kind = op_kind;
-    rec.peer = dst;
-    rec.has_local_id = local_id.has_value();
-    rec.local_id = local_id.value_or(0);
-    rec.request = request;
-    rec.check_serial = check_serial;
-    rec.post_vtime = post_vt;
-    wr_id = alloc_op(rec);
-  }
-  const Status st = nic_.post_put_imm(
-      dst, fabric::LocalRef{staging, footprint, slab_desc_.lkey},
-      fabric::RemoteRef{ring_base + pos, rkey},
-      encode_imm(ImmKind::kEager, post_vt), wr_id, signaled);
-  if (st != Status::Ok) {
-    if (signaled) {
-      ops_[wr_id].in_use = false;
-      free_ops_.push_back(wr_id);
-    }
-    return st;
-  }
+  const std::uint64_t post_vt = post_stamp();
+  OpRecord rec{.kind = OpKind::kPwcEager, .peer = dst, .local_id = local_id,
+               .post_vtime = post_vt};
+  const Status st =
+      post_op(guard, local_id ? &rec : nullptr, [&](std::uint64_t wr_id) {
+        return nic_.post_put_imm(
+            dst, fabric::LocalRef{staging, footprint, slab_desc_.lkey},
+            fabric::RemoteRef{ring_base + pos, rkey},
+            encode_imm(ImmKind::kEager, post_vt), wr_id, wr_id != 0);
+      });
+  if (st != Status::Ok) return st;
   ss.ring_head += footprint;
   if (kind == MsgKind::kUser) {
     ++stats_.eager_sent;
@@ -347,8 +351,7 @@ Status Photon::eager_send(Rank dst, MsgKind kind, std::uint64_t id,
 }
 
 Status Photon::ledger_signal(Rank dst, std::uint64_t id, bool from_get,
-                             std::optional<std::uint64_t> local_id, bool chained,
-                             [[maybe_unused]] std::uint64_t origin_vtime,
+                             bool chained, std::uint64_t origin_vtime,
                              std::optional<std::uint64_t> meta_override) {
   if (peer_failed_[dst]) return Status::Disconnected;
   SenderState& ss = senders_[dst];
@@ -361,10 +364,7 @@ Status Photon::ledger_signal(Rank dst, std::uint64_t id, bool from_get,
   const std::uint64_t slot = ss.ledger_head % cfg_.ledger_entries;
   // Spare meta bits carry the originating op's post vtime to the target
   // (pure-signal ops originate here, so stamp the current clock for them).
-  const std::uint64_t post_vt = PHOTON_TELEM_EXPR(
-      origin_vtime != 0 ? origin_vtime
-                        : (oplat_.armed() ? clock().now() : 0),
-      0);
+  const std::uint64_t post_vt = origin_vtime != 0 ? origin_vtime : post_stamp();
   LedgerEntry e{id, meta_override
                         ? *meta_override
                         : ledger_meta_pack(from_get, chained && !from_get,
@@ -372,28 +372,10 @@ Status Photon::ledger_signal(Rank dst, std::uint64_t id, bool from_get,
   const fabric::RemoteRef ref{
       peer_slabs_[dst].addr + ledger_off(rank()) + slot * sizeof(LedgerEntry),
       peer_slabs_[dst].rkey};
-
-  std::uint64_t wr_id = 0;
-  const bool signaled = local_id.has_value();
-  if (signaled) {
-    OpRecord rec;
-    rec.kind = OpKind::kSignal;
-    rec.peer = dst;
-    rec.has_local_id = true;
-    rec.local_id = *local_id;
-    rec.post_vtime = PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-    wr_id = alloc_op(rec);
-  }
   const Status st = nic_.post_put_inline(dst, &e, sizeof(e), ref,
-                                         encode_imm(ImmKind::kSignal, slot),
-                                         wr_id, signaled, true, chained);
-  if (st != Status::Ok) {
-    if (signaled) {
-      ops_[wr_id].in_use = false;
-      free_ops_.push_back(wr_id);
-    }
-    return st;
-  }
+                                         encode_imm(ImmKind::kSignal, slot), 0,
+                                         false, true, chained);
+  if (st != Status::Ok) return st;
   ++ss.ledger_head;
   ++stats_.signals;
   return Status::Ok;
@@ -414,68 +396,30 @@ Status Photon::try_put_with_completion(Rank dst, LocalSlice src,
   }
   if (!fabric_headroom(dst, 2)) return Status::QueueFull;
 
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kPut;
-    pi.initiator = rank();
-    pi.target = dst;
-    pi.local_addr = src.addr;
-    pi.local_len = src.len;
-    pi.local_lkey = src.lkey;
-    pi.remote_addr = dst_slice.addr;
-    pi.remote_len = src.len;
-    pi.remote_rkey = dst_slice.rkey;
-    pi.local_id = local_id;
-    pi.remote_id = remote_id;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-
-  const std::uint64_t post_vt = PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-  std::uint64_t wr_id = 0;
-  const bool signaled = local_id.has_value();
-  if (signaled) {
-    OpRecord rec;
-    rec.kind = OpKind::kPwcDirect;
-    rec.peer = dst;
-    rec.has_local_id = true;
-    rec.local_id = *local_id;
-    rec.has_remote_id = remote_id.has_value();
-    rec.remote_id = remote_id.value_or(0);
-    rec.check_serial = check_serial;
-    rec.post_vtime = post_vt;
-    wr_id = alloc_op(rec);
-  }
+  check::PostGuard guard(nic_, check::CheckOpKind::kPut, dst,
+                         [&](check::PostInfo& pi) {
+                           pi.local_addr = src.addr;
+                           pi.local_len = src.len;
+                           pi.local_lkey = src.lkey;
+                           pi.remote_addr = dst_slice.addr;
+                           pi.remote_len = src.len;
+                           pi.remote_rkey = dst_slice.rkey;
+                           pi.local_id = local_id;
+                           pi.remote_id = remote_id;
+                         });
+  const std::uint64_t post_vt = post_stamp();
+  OpRecord rec{.kind = OpKind::kPwcDirect, .peer = dst, .local_id = local_id,
+               .remote_id = remote_id, .post_vtime = post_vt};
   const Status st =
-      nic_.post_put(dst, fabric::LocalRef{src.addr, src.len, src.lkey},
-                    fabric::RemoteRef{dst_slice.addr, dst_slice.rkey}, wr_id,
-                    signaled);
-  if (st != Status::Ok) {
-    if (signaled) {
-      ops_[wr_id].in_use = false;
-      free_ops_.push_back(wr_id);
-    }
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    return st;
-  }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
+      post_op(&guard, local_id ? &rec : nullptr, [&](std::uint64_t wr_id) {
+        return nic_.post_put(dst, fabric::LocalRef{src.addr, src.len, src.lkey},
+                             fabric::RemoteRef{dst_slice.addr, dst_slice.rkey},
+                             wr_id, wr_id != 0);
+      });
+  if (st != Status::Ok) return st;
   ++stats_.direct_puts;
-  if (remote_id) {
-    // Slot availability was checked above; headroom was reserved.
-    // Chained onto the payload WR: one doorbell posts both (verbs WR list).
-    const Status sig = ledger_signal(dst, *remote_id, false, std::nullopt,
-                                     /*chained=*/true, post_vt);
-    if (sig != Status::Ok) {
-      // Payload already landed but the doorbell could not be rung; surface
-      // loudly — this indicates a headroom accounting bug.
-      log::error("photon: pwc doorbell failed after payload: ",
-                 status_name(sig));
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(dst, rank(), *remote_id));
-      return Status::ProtocolError;
-    }
-  }
+  // Slot availability was checked above; headroom was reserved.
+  if (remote_id) return ring_doorbell(dst, *remote_id, post_vt, "pwc");
   return Status::Ok;
 }
 
@@ -486,29 +430,15 @@ Status Photon::try_send_with_completion(Rank dst,
   if (dst >= nranks_) return Status::BadArgument;
   if (payload.size() > cfg_.eager_threshold) return Status::BadArgument;
   if (!ensure_peer(dst)) return Status::PeerUnreachable;
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    // The payload is copied into the staging slab at post time, so the
-    // caller's buffer is immediately reusable: the shadow op claims no spans
-    // and only tracks the completion ids.
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kEagerSend;
-    pi.initiator = rank();
-    pi.target = dst;
-    pi.local_id = local_id;
-    pi.remote_id = remote_id;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  const Status st = eager_send(dst, MsgKind::kUser, remote_id, payload, local_id,
-                               OpKind::kPwcEager, kInvalidRequest, check_serial);
-  if (st == Status::Ok) {
-    PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
-  } else {
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-  }
-  return st;
+  // The payload is copied into the staging slab at post time, so the
+  // caller's buffer is immediately reusable: the shadow op claims no spans
+  // and only tracks the completion ids.
+  check::PostGuard guard(nic_, check::CheckOpKind::kEagerSend, dst,
+                         [&](check::PostInfo& pi) {
+                           pi.local_id = local_id;
+                           pi.remote_id = remote_id;
+                         });
+  return eager_send(dst, MsgKind::kUser, remote_id, payload, local_id, &guard);
 }
 
 Status Photon::try_get_with_completion(Rank src_rank, LocalMutSlice dst,
@@ -520,46 +450,26 @@ Status Photon::try_get_with_completion(Rank src_rank, LocalMutSlice dst,
   if (!ensure_peer(src_rank)) return Status::PeerUnreachable;
   if (!fabric_headroom(src_rank, 1)) return Status::QueueFull;
 
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kGet;
-    pi.initiator = rank();
-    pi.target = src_rank;
-    pi.local_addr = dst.addr;
-    pi.local_len = dst.len;
-    pi.local_lkey = dst.lkey;
-    pi.remote_addr = src_slice.addr;
-    pi.remote_len = dst.len;
-    pi.remote_rkey = src_slice.rkey;
-    pi.local_id = local_id;
-    pi.remote_id = remote_id;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-
-  OpRecord rec;
-  rec.kind = OpKind::kGwc;
-  rec.peer = src_rank;
-  rec.has_local_id = local_id.has_value();
-  rec.local_id = local_id.value_or(0);
-  rec.has_remote_id = remote_id.has_value();
-  rec.remote_id = remote_id.value_or(0);
-  rec.check_serial = check_serial;
-  rec.post_vtime = PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-  const std::uint64_t wr_id = alloc_op(rec);
-
-  const Status st =
-      nic_.post_get(src_rank, fabric::LocalMutRef{dst.addr, dst.len, dst.lkey},
-                    fabric::RemoteRef{src_slice.addr, src_slice.rkey}, wr_id);
-  if (st != Status::Ok) {
-    ops_[wr_id].in_use = false;
-    free_ops_.push_back(wr_id);
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    return st;
-  }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
+  check::PostGuard guard(nic_, check::CheckOpKind::kGet, src_rank,
+                         [&](check::PostInfo& pi) {
+                           pi.local_addr = dst.addr;
+                           pi.local_len = dst.len;
+                           pi.local_lkey = dst.lkey;
+                           pi.remote_addr = src_slice.addr;
+                           pi.remote_len = dst.len;
+                           pi.remote_rkey = src_slice.rkey;
+                           pi.local_id = local_id;
+                           pi.remote_id = remote_id;
+                         });
+  OpRecord rec{.kind = OpKind::kGwc, .peer = src_rank, .local_id = local_id,
+               .remote_id = remote_id, .post_vtime = post_stamp()};
+  const Status st = post_op(&guard, &rec, [&](std::uint64_t wr_id) {
+    return nic_.post_get(src_rank,
+                         fabric::LocalMutRef{dst.addr, dst.len, dst.lkey},
+                         fabric::RemoteRef{src_slice.addr, src_slice.rkey},
+                         wr_id);
+  });
+  if (st != Status::Ok) return st;
   ++stats_.gets;
   return Status::Ok;
 }
@@ -567,23 +477,10 @@ Status Photon::try_get_with_completion(Rank src_rank, LocalMutSlice dst,
 Status Photon::try_signal(Rank dst, std::uint64_t remote_id) {
   if (dst >= nranks_) return Status::BadArgument;
   if (!ensure_peer(dst)) return Status::PeerUnreachable;
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kSignal;
-    pi.initiator = rank();
-    pi.target = dst;
-    pi.remote_id = remote_id;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  const Status st = ledger_signal(dst, remote_id, false, std::nullopt);
-  if (st == Status::Ok) {
-    PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
-  } else {
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-  }
+  check::PostGuard guard(nic_, check::CheckOpKind::kSignal, dst,
+                         [&](check::PostInfo& pi) { pi.remote_id = remote_id; });
+  const Status st = ledger_signal(dst, remote_id, false);
+  if (st == Status::Ok) guard.commit();
   return st;
 }
 
@@ -593,8 +490,8 @@ Status Photon::try_shard_nak(Rank dst, std::uint32_t shard,
   if (!ensure_peer(dst)) return Status::PeerUnreachable;
   // A pure control doorbell like a credit return: no completion id on either
   // side, so the checker is not involved (nothing to pop, nothing to leak).
-  return ledger_signal(dst, /*id=*/0, /*from_get=*/false, std::nullopt,
-                       /*chained=*/false, /*origin_vtime=*/0,
+  return ledger_signal(dst, /*id=*/0, /*from_get=*/false, /*chained=*/false,
+                       /*origin_vtime=*/0,
                        ledger_meta_pack_shard_nak(shard, epoch));
 }
 
@@ -615,39 +512,17 @@ Status Photon::post_cell_op(OpKind kind, Rank dst, RemoteSlice cell,
   if (!ensure_peer(dst)) return Status::PeerUnreachable;
   if (!fabric_headroom(dst, 1)) return Status::QueueFull;
 
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kAtomic;
-    pi.initiator = rank();
-    pi.target = dst;
-    pi.remote_addr = cell.addr;
-    pi.remote_len = cell.len;
-    pi.remote_rkey = cell.rkey;
-    pi.local_id = local_id;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-
-  OpRecord rec;
-  rec.kind = kind;
-  rec.peer = dst;
-  rec.has_local_id = local_id.has_value();
-  rec.local_id = local_id.value_or(0);
-  rec.check_serial = check_serial;
-  rec.post_vtime = PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-  rec.pool_slot = pool_slot;
-  const std::uint64_t wr_id = alloc_op(rec);
-
-  const Status st = post(wr_id);
-  if (st != Status::Ok) {
-    ops_[wr_id].in_use = false;
-    free_ops_.push_back(wr_id);
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    return st;
-  }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
+  check::PostGuard guard(nic_, check::CheckOpKind::kAtomic, dst,
+                         [&](check::PostInfo& pi) {
+                           pi.remote_addr = cell.addr;
+                           pi.remote_len = cell.len;
+                           pi.remote_rkey = cell.rkey;
+                           pi.local_id = local_id;
+                         });
+  OpRecord rec{.kind = kind, .peer = dst, .local_id = local_id,
+               .post_vtime = post_stamp(), .pool_slot = pool_slot};
+  const Status st = post_op(&guard, &rec, std::forward<PostFn>(post));
+  if (st != Status::Ok) return st;
   ++stats_.atomics;
   return Status::Ok;
 }
@@ -695,64 +570,31 @@ Status Photon::try_put_u64(Rank dst, RemoteSlice cell, std::uint64_t value,
   }
   if (!fabric_headroom(dst, 2)) return Status::QueueFull;
 
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    // kAtomic, not kPut: an 8-byte aligned inline put is target-atomic, so
-    // concurrent cell traffic (the DDS fast path) must not claim a landing
-    // span — that would flag legitimate racing CAS/get ops. remote_id
-    // expectations register independently of the kind.
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kAtomic;
-    pi.initiator = rank();
-    pi.target = dst;
-    pi.remote_addr = cell.addr;
-    pi.remote_len = 8;
-    pi.remote_rkey = cell.rkey;
-    pi.local_id = local_id;
-    pi.remote_id = remote_id;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-
-  const std::uint64_t post_vt =
-      PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-  std::uint64_t wr_id = 0;
-  const bool signaled = local_id.has_value();
-  if (signaled) {
-    OpRecord rec;
-    rec.kind = OpKind::kPwcDirect;
-    rec.peer = dst;
-    rec.has_local_id = true;
-    rec.local_id = *local_id;
-    rec.check_serial = check_serial;
-    rec.post_vtime = post_vt;
-    wr_id = alloc_op(rec);
-  }
-  const Status st = nic_.post_put_inline(
-      dst, &value, 8, fabric::RemoteRef{cell.addr, cell.rkey}, 0, wr_id,
-      signaled, /*with_imm=*/false);
-  if (st != Status::Ok) {
-    if (signaled) {
-      ops_[wr_id].in_use = false;
-      free_ops_.push_back(wr_id);
-    }
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    return st;
-  }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
+  // kAtomic, not kPut: an 8-byte aligned inline put is target-atomic, so
+  // concurrent cell traffic (the DDS fast path) must not claim a landing
+  // span — that would flag legitimate racing CAS/get ops. remote_id
+  // expectations register independently of the kind.
+  check::PostGuard guard(nic_, check::CheckOpKind::kAtomic, dst,
+                         [&](check::PostInfo& pi) {
+                           pi.remote_addr = cell.addr;
+                           pi.remote_len = 8;
+                           pi.remote_rkey = cell.rkey;
+                           pi.local_id = local_id;
+                           pi.remote_id = remote_id;
+                         });
+  const std::uint64_t post_vt = post_stamp();
+  OpRecord rec{.kind = OpKind::kPwcDirect, .peer = dst, .local_id = local_id,
+               .post_vtime = post_vt};
+  const Status st =
+      post_op(&guard, local_id ? &rec : nullptr, [&](std::uint64_t wr_id) {
+        return nic_.post_put_inline(dst, &value, 8,
+                                    fabric::RemoteRef{cell.addr, cell.rkey}, 0,
+                                    wr_id, wr_id != 0, /*with_imm=*/false);
+      });
+  if (st != Status::Ok) return st;
   ++stats_.atomics;
-  if (remote_id) {
-    // Reserved above; chained onto the payload WR like try_put_with_completion.
-    const Status sig = ledger_signal(dst, *remote_id, false, std::nullopt,
-                                     /*chained=*/true, post_vt);
-    if (sig != Status::Ok) {
-      log::error("photon: put_u64 doorbell failed after payload: ",
-                 status_name(sig));
-      PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(dst, rank(), *remote_id));
-      return Status::ProtocolError;
-    }
-  }
+  // Reserved above; chained onto the payload WR like try_put_with_completion.
+  if (remote_id) return ring_doorbell(dst, *remote_id, post_vt, "put_u64");
   return Status::Ok;
 }
 
@@ -1037,7 +879,7 @@ void Photon::flush_deferred() {
   while (n-- > 0 && !deferred_.empty()) {
     DeferredSignal d = deferred_.front();
     deferred_.pop_front();
-    const Status st = ledger_signal(d.dst, d.id, d.from_get, std::nullopt,
+    const Status st = ledger_signal(d.dst, d.id, d.from_get,
                                     /*chained=*/false, d.post_vtime);
     if (transient(st)) {
       deferred_.push_back(d);  // try again on a later progress call
@@ -1102,7 +944,8 @@ bool Photon::progress_jump() {
 }
 
 void Photon::handle_local_completion(const fabric::Completion& c) {
-  if (c.wr_id >= ops_.size() || !ops_[c.wr_id].in_use) {
+  const OpRecord* live = ops_.live(c.wr_id);
+  if (live == nullptr) {
     // Unsignaled op that failed remotely — no record to consult. Every
     // unsignaled op the middleware posts (pads, control messages, credit
     // returns, doorbells) is part of sequenced per-peer state, so latch the
@@ -1119,9 +962,8 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
     }
     return;
   }
-  OpRecord rec = ops_[c.wr_id];
-  ops_[c.wr_id].in_use = false;
-  free_ops_.push_back(c.wr_id);
+  const OpRecord rec = *live;
+  ops_.release(c.wr_id);
 
   if (c.status != Status::Ok) {
     if (rec.pool_slot != kNoPoolSlot) free_pool_.push_back(rec.pool_slot);
@@ -1130,11 +972,11 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
     // with the payload.
     PHOTON_CHECK_HOOK(nic_.checker().on_op_error(
         rec.check_serial, rec.kind == OpKind::kPwcDirect));
-    if (rec.has_local_id && (rec.local_id & kInternalIdBit) != 0) {
+    if (rec.local_id && (*rec.local_id & kInternalIdBit) != 0) {
       // Internal-id op (blocking atomic-cell wrapper): the poster is spinning
       // in run_cell_op on exactly this id — deliver the verdict there
       // instead of probe_error so failures are consumed in-line.
-      local_q_.push_back({rec.local_id, rec.peer, 0, c.status});
+      local_q_.push_back({*rec.local_id, rec.peer, 0, c.status});
       return;
     }
     ++stats_.op_errors;
@@ -1143,8 +985,7 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
     // A failed eager/ledger op leaves a hole in sequenced shared state; the
     // peer connection is latched dead (verbs QP error semantics) — unless
     // the failure belongs to an epoch a later fence already superseded.
-    if ((rec.kind == OpKind::kPwcEager || rec.kind == OpKind::kSignal) &&
-        c.epoch == nic_.tx_epoch(rec.peer)) {
+    if (rec.kind == OpKind::kPwcEager && c.epoch == nic_.tx_epoch(rec.peer)) {
       peer_failed_[rec.peer] = true;
       PHOTON_CHECK_HOOK(nic_.checker().on_peer_dead(rank(), rec.peer));
     }
@@ -1157,28 +998,26 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
   switch (rec.kind) {
     case OpKind::kPwcDirect:
     case OpKind::kPwcEager:
-    case OpKind::kSignal:
-      if (rec.has_local_id) {
-        local_q_.push_back({rec.local_id, rec.peer});
+      if (rec.local_id) {
+        local_q_.push_back({*rec.local_id, rec.peer});
         ++stats_.local_completions;
       }
       break;
     case OpKind::kGwc:
-      if (rec.has_local_id) {
-        local_q_.push_back({rec.local_id, rec.peer});
+      if (rec.local_id) {
+        local_q_.push_back({*rec.local_id, rec.peer});
         ++stats_.local_completions;
       }
-      if (rec.has_remote_id) {
-        const Status st =
-            ledger_signal(rec.peer, rec.remote_id, true, std::nullopt,
-                          /*chained=*/false, rec.post_vtime);
+      if (rec.remote_id) {
+        const Status st = ledger_signal(rec.peer, *rec.remote_id, true,
+                                        /*chained=*/false, rec.post_vtime);
         if (transient(st)) {
-          deferred_.push_back({rec.peer, rec.remote_id, true, rec.post_vtime});
+          deferred_.push_back({rec.peer, *rec.remote_id, true, rec.post_vtime});
           ++deferred_pending_[rec.peer];
         } else if (st != Status::Ok) {
           error_q_.push_back(st);
-          PHOTON_CHECK_HOOK(
-              nic_.checker().on_remote_id_lost(rec.peer, rank(), rec.remote_id));
+          PHOTON_CHECK_HOOK(nic_.checker().on_remote_id_lost(
+              rec.peer, rank(), *rec.remote_id));
         }
       }
       break;
@@ -1189,8 +1028,8 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
     case OpKind::kFadd:
     case OpKind::kCas:
     case OpKind::kSwap:
-      if (rec.has_local_id) {
-        local_q_.push_back({rec.local_id, rec.peer, c.result, Status::Ok});
+      if (rec.local_id) {
+        local_q_.push_back({*rec.local_id, rec.peer, c.result, Status::Ok});
         ++stats_.local_completions;
       }
       break;
@@ -1201,8 +1040,8 @@ void Photon::handle_local_completion(const fabric::Completion& c) {
       std::memcpy(v, slab_ptr(atomic_pool_off() + rec.pool_slot * kPoolCellBytes),
                   len);
       free_pool_.push_back(rec.pool_slot);
-      if (rec.has_local_id) {
-        local_q_.push_back({rec.local_id, rec.peer, v[0], Status::Ok, v[1]});
+      if (rec.local_id) {
+        local_q_.push_back({*rec.local_id, rec.peer, v[0], Status::Ok, v[1]});
         ++stats_.local_completions;
       }
       break;
@@ -1468,8 +1307,22 @@ Status Photon::wait_event(ProbeEvent& out, std::uint64_t timeout_ns) {
 
 // ---- rendezvous ------------------------------------------------------------------------
 
-Status Photon::send_advert(Rank peer, const BufferDescriptor& buf,
-                           std::uint64_t tag, RequestId rq, bool get_side) {
+util::Result<RequestId> Photon::post_buffer_rq(Rank peer,
+                                               const BufferDescriptor& buf,
+                                               std::uint64_t tag,
+                                               bool get_side) {
+  if (peer >= nranks_ || !buf.valid()) return Status::BadArgument;
+  if (tag == kAnyTag) return Status::BadArgument;
+  if (!ensure_peer(peer)) return Status::PeerUnreachable;
+  const RequestId rq = alloc_request(peer, /*remote=*/true);
+  check::PostGuard guard(nic_, check::CheckOpKind::kAdvert, peer,
+                         [&](check::PostInfo& pi) {
+                           pi.local_addr = reinterpret_cast<const void*>(buf.addr);
+                           pi.local_len = buf.size;
+                           pi.local_lkey = buf.lkey;
+                           pi.request = rq;
+                           pi.advert_is_send = get_side;
+                         });
   AdvertBody b;
   b.addr = buf.addr;
   b.size = buf.size;
@@ -1481,78 +1334,27 @@ Status Photon::send_advert(Rank peer, const BufferDescriptor& buf,
   // Control messages must eventually go through; retry briefly here so
   // callers see only hard failures.
   const Status st = run_blocking(
-      *this,
-      [&] {
-        return eager_send(peer, MsgKind::kAdvert, 0, bytes, std::nullopt,
-                          OpKind::kPwcEager, kInvalidRequest);
-      },
+      *this, [&] { return eager_send(peer, MsgKind::kAdvert, 0, bytes); },
       kDefaultTimeoutNs);
-  if (st == Status::Ok) ++stats_.adverts_sent;
-  return st;
+  if (st != Status::Ok) {
+    requests_.erase(rq);
+    return st;
+  }
+  ++stats_.adverts_sent;
+  guard.commit();
+  return rq;
 }
 
 util::Result<RequestId> Photon::post_recv_buffer_rq(Rank peer,
                                                     const BufferDescriptor& buf,
                                                     std::uint64_t tag) {
-  if (peer >= nranks_ || !buf.valid()) return Status::BadArgument;
-  if (tag == kAnyTag) return Status::BadArgument;
-  if (!ensure_peer(peer)) return Status::PeerUnreachable;
-  const RequestId rq = alloc_request(peer, /*remote=*/true);
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kAdvert;
-    pi.initiator = rank();
-    pi.target = peer;
-    pi.local_addr = reinterpret_cast<const void*>(buf.addr);
-    pi.local_len = buf.size;
-    pi.local_lkey = buf.lkey;
-    pi.request = rq;
-    pi.advert_is_send = false;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  const Status st = send_advert(peer, buf, tag, rq, /*get_side=*/false);
-  if (st != Status::Ok) {
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    requests_.erase(rq);
-    return st;
-  }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
-  return rq;
+  return post_buffer_rq(peer, buf, tag, /*get_side=*/false);
 }
 
 util::Result<RequestId> Photon::post_send_buffer_rq(Rank peer,
                                                     const BufferDescriptor& buf,
                                                     std::uint64_t tag) {
-  if (peer >= nranks_ || !buf.valid()) return Status::BadArgument;
-  if (tag == kAnyTag) return Status::BadArgument;
-  if (!ensure_peer(peer)) return Status::PeerUnreachable;
-  const RequestId rq = alloc_request(peer, /*remote=*/true);
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kAdvert;
-    pi.initiator = rank();
-    pi.target = peer;
-    pi.local_addr = reinterpret_cast<const void*>(buf.addr);
-    pi.local_len = buf.size;
-    pi.local_lkey = buf.lkey;
-    pi.request = rq;
-    pi.advert_is_send = true;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  const Status st = send_advert(peer, buf, tag, rq, /*get_side=*/true);
-  if (st != Status::Ok) {
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    requests_.erase(rq);
-    return st;
-  }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
-  return rq;
+  return post_buffer_rq(peer, buf, tag, /*get_side=*/true);
 }
 
 std::optional<RendezvousBuffer> Photon::take_advert(Rank peer, std::uint64_t tag,
@@ -1605,94 +1407,55 @@ util::Result<RendezvousBuffer> Photon::wait_recv_rq(Rank peer, std::uint64_t tag
   return wait_advert(peer, tag, /*get_side=*/true, timeout_ns);
 }
 
-util::Result<RequestId> Photon::post_os_put(Rank peer, LocalSlice src,
-                                            const RendezvousBuffer& rb) {
-  if (peer != rb.peer || src.len > rb.size) return Status::BadArgument;
+template <typename Slice>
+util::Result<RequestId> Photon::post_os(Rank peer, Slice local,
+                                        const RendezvousBuffer& rb) {
+  constexpr bool kPut = std::is_same_v<Slice, LocalSlice>;
+  if (peer != rb.peer || local.len > rb.size) return Status::BadArgument;
   if (!ensure_peer(peer)) return Status::PeerUnreachable;
   if (!fabric_headroom(peer, 1)) return Status::QueueFull;
   const RequestId rq = alloc_request(peer, /*remote=*/false);
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    // The remote window stays claimed by the peer's advert op; this op only
-    // pins its local source and conflict-checks the remote range.
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kOsPut;
-    pi.initiator = rank();
-    pi.target = peer;
-    pi.local_addr = src.addr;
-    pi.local_len = src.len;
-    pi.local_lkey = src.lkey;
-    pi.remote_addr = rb.addr;
-    pi.remote_len = src.len;
-    pi.remote_rkey = rb.rkey;
-    pi.request = rq;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  OpRecord rec;
-  rec.kind = OpKind::kOsPut;
-  rec.peer = peer;
-  rec.request = rq;
-  rec.check_serial = check_serial;
-  rec.post_vtime = PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-  const std::uint64_t wr_id = alloc_op(rec);
-  const Status st =
-      nic_.post_put(peer, fabric::LocalRef{src.addr, src.len, src.lkey},
-                    fabric::RemoteRef{rb.addr, rb.rkey}, wr_id, true);
+  // The remote window stays claimed by the peer's advert op; this op only
+  // pins its local slice and conflict-checks the remote range.
+  check::PostGuard guard(
+      nic_, kPut ? check::CheckOpKind::kOsPut : check::CheckOpKind::kOsGet, peer,
+      [&](check::PostInfo& pi) {
+        pi.local_addr = local.addr;
+        pi.local_len = local.len;
+        pi.local_lkey = local.lkey;
+        pi.remote_addr = rb.addr;
+        pi.remote_len = local.len;
+        pi.remote_rkey = rb.rkey;
+        pi.request = rq;
+      });
+  OpRecord rec{.kind = kPut ? OpKind::kOsPut : OpKind::kOsGet, .peer = peer,
+               .request = rq, .post_vtime = post_stamp()};
+  const Status st = post_op(&guard, &rec, [&](std::uint64_t wr_id) {
+    const fabric::RemoteRef remote{rb.addr, rb.rkey};
+    if constexpr (kPut)
+      return nic_.post_put(
+          peer, fabric::LocalRef{local.addr, local.len, local.lkey}, remote,
+          wr_id, true);
+    else
+      return nic_.post_get(
+          peer, fabric::LocalMutRef{local.addr, local.len, local.lkey},
+          remote, wr_id);
+  });
   if (st != Status::Ok) {
-    ops_[wr_id].in_use = false;
-    free_ops_.push_back(wr_id);
     requests_.erase(rq);
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
     return st;
   }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
   return rq;
+}
+
+util::Result<RequestId> Photon::post_os_put(Rank peer, LocalSlice src,
+                                            const RendezvousBuffer& rb) {
+  return post_os(peer, src, rb);
 }
 
 util::Result<RequestId> Photon::post_os_get(Rank peer, LocalMutSlice dst,
                                             const RendezvousBuffer& rb) {
-  if (peer != rb.peer || dst.len > rb.size) return Status::BadArgument;
-  if (!ensure_peer(peer)) return Status::PeerUnreachable;
-  if (!fabric_headroom(peer, 1)) return Status::QueueFull;
-  const RequestId rq = alloc_request(peer, /*remote=*/false);
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kOsGet;
-    pi.initiator = rank();
-    pi.target = peer;
-    pi.local_addr = dst.addr;
-    pi.local_len = dst.len;
-    pi.local_lkey = dst.lkey;
-    pi.remote_addr = rb.addr;
-    pi.remote_len = dst.len;
-    pi.remote_rkey = rb.rkey;
-    pi.request = rq;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  OpRecord rec;
-  rec.kind = OpKind::kOsGet;
-  rec.peer = peer;
-  rec.request = rq;
-  rec.check_serial = check_serial;
-  rec.post_vtime = PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
-  const std::uint64_t wr_id = alloc_op(rec);
-  const Status st =
-      nic_.post_get(peer, fabric::LocalMutRef{dst.addr, dst.len, dst.lkey},
-                    fabric::RemoteRef{rb.addr, rb.rkey}, wr_id);
-  if (st != Status::Ok) {
-    ops_[wr_id].in_use = false;
-    free_ops_.push_back(wr_id);
-    requests_.erase(rq);
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    return st;
-  }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
-  return rq;
+  return post_os(peer, dst, rb);
 }
 
 Status Photon::send_fin(Rank peer, const RendezvousBuffer& rb) {
@@ -1700,11 +1463,7 @@ Status Photon::send_fin(Rank peer, const RendezvousBuffer& rb) {
   FinBody b{rb.tag, rb.remote_request};
   const auto bytes = std::as_bytes(std::span<const FinBody, 1>(&b, 1));
   const Status st = run_blocking(
-      *this,
-      [&] {
-        return eager_send(peer, MsgKind::kFin, 0, bytes, std::nullopt,
-                          OpKind::kPwcEager, kInvalidRequest);
-      },
+      *this, [&] { return eager_send(peer, MsgKind::kFin, 0, bytes); },
       kDefaultTimeoutNs);
   if (st == Status::Ok) ++stats_.fins_sent;
   return st;

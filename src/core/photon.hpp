@@ -50,6 +50,11 @@
 #include "telemetry/oplat.hpp"
 #include "util/expected.hpp"
 #include "util/idle_wait.hpp"
+#include "util/op_table.hpp"
+
+namespace photon::check {
+class PostGuard;
+}  // namespace photon::check
 
 namespace photon::core {
 
@@ -304,6 +309,8 @@ class Photon {
   Status wait(RequestId rq, std::uint64_t timeout_ns = kDefaultTimeoutNs);
   /// Wait for any of `rqs` to complete; on success returns its index and
   /// consumes that request (the others stay pending). NotFound on timeout.
+  // test-only-ok: the published photon_wait_any call; no bench or example
+  // waits on a request set yet.
   util::Result<std::size_t> wait_any(std::span<const RequestId> rqs,
                                      std::uint64_t timeout_ns = kDefaultTimeoutNs);
 
@@ -327,23 +334,22 @@ class Photon {
     fabric::MrKey rkey = fabric::kInvalidKey;
   };
   enum class OpKind : std::uint8_t {
-    kPwcDirect, kPwcEager, kGwc, kOsPut, kOsGet, kSignal,
+    kPwcDirect, kPwcEager, kGwc, kOsPut, kOsGet,
     kFadd, kCas, kSwap, kGet64, kGet64x2,
   };
   /// "No atomic-pool slot" sentinel for OpRecord::pool_slot.
   static constexpr std::uint32_t kNoPoolSlot = ~std::uint32_t{0};
+  /// A signaled post's record, filed in ops_ under its wr_id.
   struct OpRecord {
     OpKind kind = OpKind::kPwcDirect;
-    bool has_local_id = false;
-    std::uint64_t local_id = 0;
     fabric::Rank peer = 0;
-    bool has_remote_id = false;  ///< GWC: send signal after completion
-    std::uint64_t remote_id = 0;
+    std::optional<std::uint64_t> local_id = std::nullopt;
+    /// GWC: signal this id to the peer after completion.
+    std::optional<std::uint64_t> remote_id = std::nullopt;
     RequestId request = kInvalidRequest;
     std::uint64_t check_serial = 0;  ///< PhotonCheck shadow-op serial (0 = none)
     std::uint64_t post_vtime = 0;    ///< telemetry: virtual post timestamp
     std::uint32_t pool_slot = kNoPoolSlot;  ///< kGet64/kGet64x2 landing cell
-    bool in_use = false;
   };
   struct ReqInfo {
     bool done = false;
@@ -387,24 +393,50 @@ class Photon {
   /// True when the fabric can absorb `k` more posts to `dst` right now.
   bool fabric_headroom(fabric::Rank dst, std::size_t k) const;
 
-  // Eager-ring send path (user payloads and control messages).
-  // `check_serial` ties the op record to its PhotonCheck shadow op, if any.
+  /// Virtual post timestamp for latency telemetry (0 while unarmed).
+  std::uint64_t post_stamp() {
+    return PHOTON_TELEM_EXPR(oplat_.armed() ? clock().now() : 0, 0);
+  }
+  /// The one post sequence. A signaled post passes its `rec`: it is filed
+  /// in ops_ (tagged with the guard's shadow-op serial) and posted under its
+  /// id as the wr_id; a null `rec` posts unsignaled under wr_id 0.
+  /// `post(wr_id)` runs the NIC post. A rejected post frees the record and
+  /// returns the NIC's status (the guard then aborts its shadow op); an
+  /// accepted one commits `guard`.
+  template <typename Post>
+  Status post_op(check::PostGuard* guard, OpRecord* rec, Post&& post);
+  /// Tail of a payload post carrying a remote id: ring the doorbell chained
+  /// onto the payload WR (its slot and headroom were reserved up front). A
+  /// failed doorbell means the landed payload can never be announced: that
+  /// is a ProtocolError, and the remote id is lost. `what` names the post.
+  Status ring_doorbell(fabric::Rank dst, std::uint64_t remote_id,
+                       std::uint64_t post_vt, const char* what);
+
+  // Eager-ring send path (user payloads and control messages). A send with
+  // a local id is signaled; `guard` is its caller's shadow op, if any.
   Status eager_send(fabric::Rank dst, MsgKind kind, std::uint64_t id,
                     std::span<const std::byte> payload,
-                    std::optional<std::uint64_t> local_id, OpKind op_kind,
-                    RequestId request, std::uint64_t check_serial = 0);
-  /// Write a ledger entry + doorbell to `dst`. `chained` rides the previous
-  /// post's doorbell (no extra CPU overhead charge). `origin_vtime` is the
-  /// originating op's post vtime, carried to the target in the entry's spare
-  /// meta bits for remote-latency telemetry (0 = stamp the current clock).
-  /// `meta_override`, when set, replaces the packed meta word entirely (the
-  /// shard-NAK control path; see wire_format.hpp ledger_meta_pack_shard_nak).
+                    std::optional<std::uint64_t> local_id = std::nullopt,
+                    check::PostGuard* guard = nullptr);
+  /// Write a ledger entry + doorbell to `dst` (always unsignaled). `chained`
+  /// rides the previous post's doorbell (no extra CPU overhead charge).
+  /// `origin_vtime` is the originating op's post vtime, carried to the
+  /// target in the entry's spare meta bits for remote-latency telemetry
+  /// (0 = stamp the current clock). `meta_override`, when set, replaces the
+  /// packed meta word entirely (the shard-NAK control path; see
+  /// wire_format.hpp ledger_meta_pack_shard_nak).
   Status ledger_signal(fabric::Rank dst, std::uint64_t id, bool from_get,
-                       std::optional<std::uint64_t> local_id,
                        bool chained = false, std::uint64_t origin_vtime = 0,
                        std::optional<std::uint64_t> meta_override = std::nullopt);
-  Status send_advert(fabric::Rank peer, const BufferDescriptor& buf,
-                     std::uint64_t tag, RequestId rq, bool get_side);
+  /// Body of post_recv_buffer_rq (`get_side` false) and post_send_buffer_rq
+  /// (true): advertise `buf` to `peer` under a fresh remote request.
+  util::Result<RequestId> post_buffer_rq(fabric::Rank peer,
+                                         const BufferDescriptor& buf,
+                                         std::uint64_t tag, bool get_side);
+  /// Body of post_os_put (LocalSlice) and post_os_get (LocalMutSlice).
+  template <typename Slice>
+  util::Result<RequestId> post_os(fabric::Rank peer, Slice local,
+                                  const RendezvousBuffer& rb);
   /// Pop a received advert of the given side from `peer` (any tag when
   /// `tag` is kAnyTag); an emptied (peer, tag) queue is erased.
   std::optional<RendezvousBuffer> take_advert(fabric::Rank peer, std::uint64_t tag,
@@ -447,8 +479,7 @@ class Photon {
   void handle_control(fabric::Rank src, const EagerHeader& h,
                       const std::byte* body);
 
-  // Op records / requests.
-  std::uint64_t alloc_op(OpRecord rec);
+  // Requests.
   RequestId alloc_request(fabric::Rank peer, bool remote);
   void complete_request(RequestId rq, Status st);
 
@@ -520,7 +551,6 @@ class Photon {
       case OpKind::kGwc: return telemetry::OpClass::kGet;
       case OpKind::kOsPut: return telemetry::OpClass::kOsPut;
       case OpKind::kOsGet: return telemetry::OpClass::kOsGet;
-      case OpKind::kSignal: return telemetry::OpClass::kSignal;
       case OpKind::kFadd: return telemetry::OpClass::kFadd;
       case OpKind::kCas: return telemetry::OpClass::kCas;
       case OpKind::kSwap: return telemetry::OpClass::kSwap;
@@ -536,8 +566,7 @@ class Photon {
   /// no-op while the registry is disabled).
   void fold_stats() const;
 
-  std::vector<OpRecord> ops_;
-  std::vector<std::uint64_t> free_ops_;
+  util::OpTable<OpRecord> ops_;
 
   /// Free list over the slab's get_u64/get_u64x2 landing cells.
   std::vector<std::uint32_t> free_pool_;

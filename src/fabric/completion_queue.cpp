@@ -1,8 +1,6 @@
 #include "fabric/completion_queue.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 namespace photon::fabric {
 
@@ -321,18 +319,6 @@ std::optional<std::uint64_t> CompletionQueue::min_vtime() {
   const Entry* e = earliest();
   if (e == nullptr) return std::nullopt;
   return e->e.vtime;
-}
-
-Status CompletionQueue::wait_any(Completion& out, std::uint64_t timeout_ns) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(timeout_ns);
-  for (;;) {
-    const Status st = poll_min(out);
-    if (st != Status::NotFound) return st;
-    if (std::chrono::steady_clock::now() >= deadline) return Status::NotFound;
-    // idle-ok: hot-path file, no sleeping here; poll_min already jumps.
-    std::this_thread::yield();
-  }
 }
 
 std::size_t CompletionQueue::size() const {

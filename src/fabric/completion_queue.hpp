@@ -4,7 +4,7 @@
 // rank. Every completion carries a virtual delivery timestamp:
 //   * poll_ready(now) — non-blocking; returns only events that have
 //     "arrived" (vtime <= now). Polling never moves time forward.
-//   * poll_min / wait_any — the consumer *waits*: the earliest pending
+//   * poll_min — the consumer *waits*: the earliest pending
 //     event is returned even if its vtime is in the future (the caller then
 //     jumps its clock to the arrival time, LogGOPSim-style).
 //
@@ -94,10 +94,6 @@ class CompletionQueue {
   /// Earliest pending virtual arrival time, if any, counting every event
   /// published before the call.
   std::optional<std::uint64_t> min_vtime();
-
-  /// Poll, yielding the thread between attempts, until any event is queued
-  /// or `timeout_ns` of real time passes; then pop the earliest.
-  Status wait_any(Completion& out, std::uint64_t timeout_ns);
 
   /// Pushed and not yet popped (a push in progress may already count).
   std::size_t size() const;

@@ -3,11 +3,13 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 #include "fabric/fabric.hpp"
 #include "resilience/crc32c.hpp"
 #include "telemetry/hooks.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/idle_wait.hpp"
 #include "util/rng.hpp"
 
 namespace photon::fabric {
@@ -827,8 +829,7 @@ Status Nic::post_recv(LocalMutRef buf, std::uint64_t wr_id) {
 
 // ---- completion handling -------------------------------------------------------
 
-Status Nic::consume(CompletionQueue& cq, Completion& out, ConsumeMode mode,
-                    std::uint64_t timeout_ns) {
+Status Nic::consume(CompletionQueue& cq, Completion& out, ConsumeMode mode) {
   for (;;) {
     Status st = Status::NotFound;
     switch (mode) {
@@ -837,9 +838,6 @@ Status Nic::consume(CompletionQueue& cq, Completion& out, ConsumeMode mode,
         break;
       case ConsumeMode::kJump:
         st = cq.poll_min(out);
-        break;
-      case ConsumeMode::kBlockJump:
-        st = cq.wait_any(out, timeout_ns);
         break;
     }
     if (st != Status::Ok) return st;
@@ -895,19 +893,29 @@ std::size_t Nic::poll_recv_batch(std::span<Completion> out) {
 }
 
 Status Nic::poll_send(Completion& out) {
-  return consume(send_cq_, out, ConsumeMode::kReady, 0);
+  return consume(send_cq_, out, ConsumeMode::kReady);
 }
 Status Nic::poll_recv(Completion& out) {
-  return consume(recv_cq_, out, ConsumeMode::kReady, 0);
+  return consume(recv_cq_, out, ConsumeMode::kReady);
 }
 Status Nic::jump_send(Completion& out) {
-  return consume(send_cq_, out, ConsumeMode::kJump, 0);
+  return consume(send_cq_, out, ConsumeMode::kJump);
 }
 Status Nic::jump_recv(Completion& out) {
-  return consume(recv_cq_, out, ConsumeMode::kJump, 0);
+  return consume(recv_cq_, out, ConsumeMode::kJump);
 }
 Status Nic::wait_send(Completion& out, std::uint64_t timeout_ns) {
-  return consume(send_cq_, out, ConsumeMode::kBlockJump, timeout_ns);
+  // jump_send already takes the earliest pending completion, so there is
+  // nothing further to jump to between polls.
+  return util::wait_until(
+             timeout_ns,
+             [&]() -> std::optional<Status> {
+               const Status st = jump_send(out);
+               if (st == Status::NotFound) return std::nullopt;
+               return st;
+             },
+             [] { return false; })
+      .value_or(Status::NotFound);
 }
 
 std::size_t Nic::in_flight(Rank peer) const {

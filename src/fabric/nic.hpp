@@ -205,7 +205,8 @@ class Nic {
   /// (LogGOPSim semantics for a blocked rank). Non-blocking in real time.
   Status jump_send(Completion& out);
   Status jump_recv(Completion& out);
-  /// Blocking variant (real-time timeout); jump semantics.
+  /// Blocking variant: util::wait_until over jump_send (NotFound once
+  /// `timeout_ns` of wall time passes with nothing pending).
   Status wait_send(Completion& out, std::uint64_t timeout_ns);
 
   std::size_t in_flight(Rank peer) const;
@@ -315,9 +316,8 @@ class Nic {
   }
 
   std::uint64_t charge_post_overhead();
-  enum class ConsumeMode { kReady, kJump, kBlockJump };
-  Status consume(CompletionQueue& cq, Completion& out, ConsumeMode mode,
-                 std::uint64_t timeout_ns);
+  enum class ConsumeMode { kReady, kJump };
+  Status consume(CompletionQueue& cq, Completion& out, ConsumeMode mode);
   std::size_t consume_batch(CompletionQueue& cq, std::span<Completion> out);
 
   Fabric& fabric_;

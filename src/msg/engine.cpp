@@ -65,18 +65,6 @@ void Engine::repost_bounce(std::size_t slot) {
     log::error("msg: bounce repost failed: ", status_name(st));
 }
 
-std::uint64_t Engine::alloc_op(OpRecord rec) {
-  rec.in_use = true;
-  if (!free_ops_.empty()) {
-    const std::uint64_t idx = free_ops_.back();
-    free_ops_.pop_back();
-    ops_[idx] = rec;
-    return idx;
-  }
-  ops_.push_back(rec);
-  return ops_.size() - 1;
-}
-
 ReqId Engine::alloc_request() {
   const ReqId rq = next_request_++;
   requests_.emplace(rq, ReqInfo{});
@@ -135,16 +123,13 @@ util::Result<ReqId> Engine::isend(Rank dst, Tag tag,
     std::memcpy(staging, &h, sizeof(h));
     if (!data.empty())
       std::memcpy(staging + sizeof(h), data.data(), data.size());
-    OpRecord rec;
-    rec.kind = OpKind::kEagerSend;
-    rec.request = rq;
-    const std::uint64_t wr_id = alloc_op(rec);
+    const std::uint64_t wr_id =
+        ops_.alloc({.kind = OpKind::kEagerSend, .request = rq});
     const Status st = nic_.post_send(
         dst, fabric::LocalRef{staging, sizeof(h) + data.size(), slab_lkey_}, 0,
         wr_id, true);
     if (st != Status::Ok) {
-      ops_[wr_id].in_use = false;
-      free_ops_.push_back(wr_id);
+      ops_.release(wr_id);
       requests_.erase(rq);
       return st;
     }
@@ -169,32 +154,29 @@ util::Result<ReqId> Engine::isend(Rank dst, Tag tag,
   h.sender_req = rq;
   h.addr = mr.value().begin();
   h.rkey = mr.value().rkey;
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    // The registered source is advertised to the peer (RTS) and stays
-    // read-pinned until its FIN completes the request.
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kAdvert;
-    pi.initiator = rank();
-    pi.target = dst;
-    pi.local_addr = data.data();
-    pi.local_len = data.size();
-    pi.local_lkey = mr.value().lkey;
-    pi.request = rq;
-    pi.request_ns = check::RequestNs::kMsg;
-    pi.advert_is_send = true;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  const Status st = send_ctrl(dst, h, {});
+  // The registered source is advertised to the peer (RTS) and stays
+  // read-pinned until its FIN completes the request. The guard's scope ends
+  // before a rejected RTS tears the registration down, so the aborted
+  // shadow op still resolves its slice.
+  const Status st = [&] {
+    check::PostGuard guard(nic_, check::CheckOpKind::kAdvert, dst,
+                           [&](check::PostInfo& pi) {
+                             pi.local_addr = data.data();
+                             pi.local_len = data.size();
+                             pi.local_lkey = mr.value().lkey;
+                             pi.request = rq;
+                             pi.request_ns = check::RequestNs::kMsg;
+                             pi.advert_is_send = true;
+                           });
+    const Status sent = send_ctrl(dst, h, {});
+    if (sent == Status::Ok) guard.commit();
+    return sent;
+  }();
   if (st != Status::Ok) {
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
     nic_.registry().deregister(mr.value().lkey);
     requests_.erase(rq);
     return st;
   }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
   rndv_sends_.emplace(rq, RndvSendState{mr.value().lkey, dst});
   ++stats_.rndv_sends;
   stats_.bytes_sent += data.size();
@@ -252,46 +234,42 @@ void Engine::start_rndv_get(Rank src, const Unexpected& rts,
   }
   nic_.clock().add(cfg_.reg_cost_ns);
   ++stats_.registrations;
-  [[maybe_unused]] std::uint64_t check_serial = 0;
-#if PHOTON_CHECK_ENABLED
-  {
-    // The sender's advertised window governs the remote side; this op pins
-    // only its local destination until the get completes the request.
-    check::PostInfo pi;
-    pi.kind = check::CheckOpKind::kRndvGet;
-    pi.initiator = rank();
-    pi.target = src;
-    pi.local_addr = out.data();
-    pi.local_len = n;
-    pi.local_lkey = mr.value().lkey;
-    pi.remote_addr = rts.addr;
-    pi.remote_len = n;
-    pi.remote_rkey = rts.rkey;
-    pi.request = rq;
-    pi.request_ns = check::RequestNs::kMsg;
-    check_serial = nic_.checker().begin_op(pi);
-  }
-#endif
-  OpRecord rec;
-  rec.kind = OpKind::kRndvGet;
-  rec.request = rq;
-  rec.peer = src;
-  rec.sender_req = rts.sender_req;
-  rec.dereg_lkey = mr.value().lkey;
-  rec.info = info;
-  const std::uint64_t wr_id = alloc_op(rec);
-  const Status st =
-      nic_.post_get(src, fabric::LocalMutRef{out.data(), n, mr.value().lkey},
-                    fabric::RemoteRef{rts.addr, rts.rkey}, wr_id);
+  // The sender's advertised window governs the remote side; this op pins
+  // only its local destination until the get completes the request. As in
+  // isend, the guard's scope ends before a rejected get tears the
+  // registration down.
+  const Status st = [&] {
+    check::PostGuard guard(nic_, check::CheckOpKind::kRndvGet, src,
+                           [&](check::PostInfo& pi) {
+                             pi.local_addr = out.data();
+                             pi.local_len = n;
+                             pi.local_lkey = mr.value().lkey;
+                             pi.remote_addr = rts.addr;
+                             pi.remote_len = n;
+                             pi.remote_rkey = rts.rkey;
+                             pi.request = rq;
+                             pi.request_ns = check::RequestNs::kMsg;
+                           });
+    const std::uint64_t wr_id = ops_.alloc({.kind = OpKind::kRndvGet,
+                                            .request = rq,
+                                            .peer = src,
+                                            .sender_req = rts.sender_req,
+                                            .dereg_lkey = mr.value().lkey,
+                                            .info = info});
+    const Status posted = nic_.post_get(
+        src, fabric::LocalMutRef{out.data(), n, mr.value().lkey},
+        fabric::RemoteRef{rts.addr, rts.rkey}, wr_id);
+    if (posted != Status::Ok) {
+      ops_.release(wr_id);
+      return posted;
+    }
+    guard.commit();
+    return Status::Ok;
+  }();
   if (st != Status::Ok) {
-    PHOTON_CHECK_HOOK(nic_.checker().abort_post(check_serial));
-    ops_[wr_id].in_use = false;
-    free_ops_.push_back(wr_id);
     nic_.registry().deregister(mr.value().lkey);
     complete_request(rq, st, info);
-    return;
   }
-  PHOTON_CHECK_HOOK(nic_.checker().commit(check_serial));
 }
 
 void Engine::deliver_eager(const PostedRecv& pr, Rank src, Tag tag,
@@ -425,10 +403,10 @@ void Engine::maybe_ack_credits(Rank src) {
 }
 
 void Engine::handle_send_completion(const fabric::Completion& c) {
-  if (c.wr_id >= ops_.size() || !ops_[c.wr_id].in_use) return;
-  OpRecord rec = ops_[c.wr_id];
-  ops_[c.wr_id].in_use = false;
-  free_ops_.push_back(c.wr_id);
+  const OpRecord* live = ops_.live(c.wr_id);
+  if (live == nullptr) return;
+  const OpRecord rec = *live;
+  ops_.release(c.wr_id);
 
   switch (rec.kind) {
     case OpKind::kEagerSend:
@@ -452,8 +430,6 @@ void Engine::handle_send_completion(const fabric::Completion& c) {
       ++stats_.recvs_completed;
       break;
     }
-    case OpKind::kCtrlSend:
-      break;
   }
 }
 

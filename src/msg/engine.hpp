@@ -25,6 +25,7 @@
 #include "runtime/bootstrap.hpp"
 #include "util/expected.hpp"
 #include "util/idle_wait.hpp"
+#include "util/op_table.hpp"
 
 namespace photon::msg {
 
@@ -139,16 +140,16 @@ class Engine {
     Status status = Status::Ok;
     RecvInfo info{};
   };
-  enum class OpKind : std::uint8_t { kEagerSend, kCtrlSend, kRndvGet };
+  enum class OpKind : std::uint8_t { kEagerSend, kRndvGet };
+  /// A signaled post's record, filed in ops_ under its wr_id.
   struct OpRecord {
-    OpKind kind = OpKind::kCtrlSend;
+    OpKind kind = OpKind::kEagerSend;
     ReqId request = kInvalidReq;  ///< eager send / rndv-get request
     // rndv-get bookkeeping:
     fabric::Rank peer = 0;
     std::uint64_t sender_req = 0;
     fabric::MrKey dereg_lkey = fabric::kInvalidKey;
     RecvInfo info{};
-    bool in_use = false;
   };
   struct RndvSendState {
     fabric::MrKey lkey = fabric::kInvalidKey;  ///< to deregister on FIN
@@ -189,7 +190,6 @@ class Engine {
                                                 cfg_.copy_per_byte_ns));
   }
 
-  std::uint64_t alloc_op(OpRecord rec);
   ReqId alloc_request();
   void complete_request(ReqId rq, Status st, const RecvInfo& info);
 
@@ -208,8 +208,7 @@ class Engine {
   std::deque<PostedRecv> posted_;
   std::deque<Unexpected> unexpected_;
 
-  std::vector<OpRecord> ops_;
-  std::vector<std::uint64_t> free_ops_;
+  util::OpTable<OpRecord> ops_;
 
   std::unordered_map<ReqId, ReqInfo> requests_;
   std::unordered_map<std::uint64_t, RndvSendState> rndv_sends_;

@@ -52,11 +52,6 @@ class ParcelEngine {
   template <typename Done>
   bool run_until(Done&& done, std::uint64_t timeout_ns = 30'000'000'000ULL);
 
-  /// Local counts used by applications to build termination detection.
-  // test-only-ok: parcel tests wait on it; stats().dispatched is the same.
-  std::uint64_t parcels_dispatched() const noexcept { return stats_.dispatched; }
-  std::uint64_t parcels_sent() const noexcept { return stats_.sent; }
-
  private:
   friend class Context;
   Transport& transport_;

@@ -68,13 +68,6 @@ void LatencyHistogram::reset() noexcept {
 
 void Snapshot::merge(const Snapshot& o) {
   for (const auto& [k, v] : o.counters) counters[k] += v;
-  for (const auto& [k, v] : o.gauges) {
-    auto it = gauges.find(k);
-    if (it == gauges.end())
-      gauges.emplace(k, v);
-    else if (v > it->second)
-      it->second = v;
-  }
   for (const auto& [k, v] : o.histograms) {
     auto it = histograms.find(k);
     if (it == histograms.end())
@@ -104,9 +97,6 @@ std::string Snapshot::to_json() const {
   w.begin_object();
   w.key("counters").begin_object();
   for (const auto& [k, v] : counters) w.key(k).value(v);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [k, v] : gauges) w.key(k).value(v);
   w.end_object();
   w.key("histograms").begin_object();
   for (const auto& [k, h] : histograms) {
@@ -144,14 +134,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  util::LockGuard lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end())
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  return *it->second;
-}
-
 LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
   util::LockGuard lock(mu_);
   auto it = hists_.find(name);
@@ -178,7 +160,6 @@ Snapshot MetricsRegistry::snapshot() const {
   util::LockGuard lock(mu_);
   Snapshot s;
   for (const auto& [k, c] : counters_) s.counters[k] = c->get();
-  for (const auto& [k, g] : gauges_) s.gauges[k] = g->get();
   for (const auto& [k, h] : hists_) s.histograms[k] = h->snapshot();
   return s;
 }
@@ -186,7 +167,6 @@ Snapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   util::LockGuard lock(mu_);
   for (auto& [k, c] : counters_) c->reset();
-  for (auto& [k, g] : gauges_) g->set(0);
   for (auto& [k, h] : hists_) h->reset();
 }
 

@@ -1,4 +1,4 @@
-// Unified metrics registry: named counters, gauges, and log2-bucketed
+// Unified metrics registry: named counters and log2-bucketed
 // latency histograms with a relaxed-atomic hot path.
 //
 // One MetricsRegistry aggregates the whole system's observability state —
@@ -60,21 +60,6 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-writer-wins instantaneous value.
-class Gauge {
- public:
-  // relaxed-ok: per-metric monotonic statistics; snapshot() documents
-  // the approximate-but-untorn read contract.
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n) noexcept { v_.fetch_add(n, std::memory_order_relaxed); }
-  // relaxed-ok: per-metric monotonic statistics; snapshot() documents
-  // the approximate-but-untorn read contract.
-  std::int64_t get() const noexcept { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
-
 /// Read-only view of a histogram at one point in time.
 struct HistogramSnapshot {
   static constexpr int kBuckets = 64;
@@ -127,11 +112,9 @@ class LatencyHistogram {
 /// Full-registry snapshot: plain values keyed by metric name.
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  /// Merge another snapshot in: counters add, gauges take the max (they are
-  /// used as high-water marks across registries), histograms merge bucket
+  /// Merge another snapshot in: counters add, histograms merge bucket
   /// counts. Disjoint name sets simply union.
   void merge(const Snapshot& o);
 
@@ -141,7 +124,7 @@ struct Snapshot {
 
   std::uint64_t counter_or(std::string_view name, std::uint64_t fallback) const;
 
-  /// Compact single-object JSON: {"counters":{...},"gauges":{...},
+  /// Compact single-object JSON: {"counters":{...},
   /// "histograms":{"name":{"total":..,"sum":..,"p50":..,"p99":..,
   /// "p999":..,"buckets":{"<b>":count,...}},...}}.
   std::string to_json() const;
@@ -174,8 +157,6 @@ class MetricsRegistry {
   /// Named metric accessors: find-or-create; returned references stay valid
   /// for the registry's lifetime.
   Counter& counter(std::string_view name);
-  // test-only-ok: registry tests; the program publishes no gauge yet.
-  Gauge& gauge(std::string_view name);
   LatencyHistogram& histogram(std::string_view name);
 
   /// Teardown fold: add each nonzero value to the counter "<prefix><name>".
@@ -187,15 +168,13 @@ class MetricsRegistry {
                 stats);
 
   Snapshot snapshot() const;
-  /// Zero every counter/gauge/histogram.
+  /// Zero every counter/histogram.
   void reset();
 
  private:
   std::atomic<bool> enabled_{false};
   mutable util::Mutex mu_;  ///< guards the maps, not the metric hot paths
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>> hists_
       GUARDED_BY(mu_);

@@ -1,12 +1,12 @@
 // API-surface tests: wait_any, blocking-wait timeouts, backend calibrations,
-// registration edge cases, and misuse handling.
+// registration edge cases, misuse handling, and posts the NIC rejects.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <cstring>
 
-#include "check/checker.hpp"
+#include "check/hooks.hpp"
 #include "core/photon.hpp"
 #include "fabric/calibrations.hpp"
 #include "msg/engine.hpp"
@@ -356,6 +356,128 @@ TEST(TwoCellRead, FirstCellIsReadBeforeTheSecond) {
       EXPECT_GE(moving, kMoves) << "the writer barely ran during the reads";
     }
     env.bootstrap.barrier(env.rank);
+  });
+}
+
+// ---- post path ----------------------------------------------------------------
+
+/// Collect violations when PhotonCheck is compiled in and enabled.
+bool collect_violations(check::Checker& ck) {
+  if (!PHOTON_CHECK_ENABLED || !ck.enabled()) return false;
+  ck.set_mode(check::Mode::kCollect);
+  return true;
+}
+
+// A post the NIC rejects synchronously returns the NIC's status and leaves
+// neither an op record nor a shadow op: the same local id posted again
+// completes as its own, PhotonCheck reports nothing but the class-4
+// re-report of a stale local slice, and finalize finds no leaked op. A stale
+// lkey rejects put, get, os_put and os_get; a 4-byte inline cap rejects the
+// ledger signal and put_u64. Eager sends, cell ops and buffer adverts post
+// from Photon's own slab, so nothing a caller passes makes the NIC refuse
+// them; they share the post sequence (post_op, PostGuard) exercised here.
+TEST(PostPath, RejectedPostsLeaveNoOpOrCheckerRecord) {
+  Cluster cluster(quiet_fabric(1));
+  cluster.run([&](Env& env) {
+    auto& ck = env.nic.checker();
+    const bool checking = collect_violations(ck);
+    const auto expect_reports = [&](std::size_t bad_slices) {
+      if (!checking) return;
+      const auto v = ck.take_violations();
+      EXPECT_EQ(v.size(), bad_slices);
+      for (const auto& x : v) EXPECT_EQ(x.kind, check::ViolationKind::kBadSlice);
+    };
+    {
+      Photon ph(env.nic, env.bootstrap, Config{});
+      std::vector<std::byte> buf(4096), win(4096), gone(256);
+      const auto desc = ph.register_buffer(buf.data(), buf.size()).value();
+      const auto wdesc = ph.register_buffer(win.data(), win.size()).value();
+      const auto dead = ph.register_buffer(gone.data(), gone.size()).value();
+      ASSERT_EQ(ph.unregister_buffer(dead), Status::Ok);
+      const auto completes_as = [&](std::uint64_t id) {
+        LocalComplete lc;
+        ASSERT_EQ(ph.wait_local(lc, kWait), Status::Ok);
+        EXPECT_EQ(lc.id, id);
+        EXPECT_EQ(lc.status, Status::Ok);
+      };
+
+      EXPECT_EQ(ph.try_put_with_completion(0, local_slice(dead, 0, 64),
+                                           slice(desc, 1024, 64), 1,
+                                           std::nullopt),
+                Status::InvalidKey);
+      expect_reports(1);
+      ASSERT_EQ(ph.try_put_with_completion(0, local_slice(desc, 0, 64),
+                                           slice(desc, 1024, 64), 1,
+                                           std::nullopt),
+                Status::Ok);
+      completes_as(1);
+
+      EXPECT_EQ(ph.try_get_with_completion(0, local_mut_slice(dead, 0, 64),
+                                           slice(desc, 1024, 64), 2,
+                                           std::nullopt),
+                Status::InvalidKey);
+      expect_reports(1);
+      ASSERT_EQ(ph.try_get_with_completion(0, local_mut_slice(desc, 0, 64),
+                                           slice(desc, 1024, 64), 2,
+                                           std::nullopt),
+                Status::Ok);
+      completes_as(2);
+
+      // os_put / os_get into / out of this rank's own advertised window.
+      const auto rendezvous = [&](bool get_side, auto&& post_os) {
+        auto adv = get_side ? ph.post_send_buffer_rq(0, wdesc, 3)
+                            : ph.post_recv_buffer_rq(0, wdesc, 3);
+        ASSERT_TRUE(adv.ok());
+        auto rb = get_side ? ph.wait_recv_rq(0, 3, kWait)
+                           : ph.wait_send_rq(0, 3, kWait);
+        ASSERT_TRUE(rb.ok());
+        EXPECT_EQ(post_os(dead, rb.value()).status(), Status::InvalidKey);
+        expect_reports(1);
+        auto rq = post_os(desc, rb.value());
+        ASSERT_TRUE(rq.ok());
+        EXPECT_EQ(ph.wait(rq.value(), kWait), Status::Ok);
+        ASSERT_EQ(ph.send_fin(0, rb.value()), Status::Ok);
+        EXPECT_EQ(ph.wait(adv.value(), kWait), Status::Ok);
+      };
+      rendezvous(false, [&](const BufferDescriptor& d, const RendezvousBuffer& rb) {
+        return ph.post_os_put(0, local_slice(d, 0, 64), rb);
+      });
+      rendezvous(true, [&](const BufferDescriptor& d, const RendezvousBuffer& rb) {
+        return ph.post_os_get(0, local_mut_slice(d, 0, 64), rb);
+      });
+      expect_reports(0);
+    }
+    expect_reports(0);  // finalize: no leaked op
+  });
+
+  fabric::FabricConfig capped = quiet_fabric(1);
+  capped.nic.max_inline = 4;  // below a ledger entry and a put_u64 cell
+  Cluster inline_cluster(capped);
+  inline_cluster.run([&](Env& env) {
+    auto& ck = env.nic.checker();
+    const bool checking = collect_violations(ck);
+    {
+      Photon ph(env.nic, env.bootstrap, Config{});
+      std::vector<std::byte> buf(4096);
+      const auto desc = ph.register_buffer(buf.data(), buf.size()).value();
+      EXPECT_EQ(ph.try_signal(0, 9), Status::BadArgument);
+      EXPECT_EQ(ph.try_put_u64(0, slice(desc, 1024, 8), 5, 4, std::nullopt),
+                Status::BadArgument);
+      // A leaked put_u64 shadow op would make this reuse of id 4 a
+      // duplicate; a leaked op record would never complete.
+      ASSERT_EQ(ph.try_put_with_completion(0, local_slice(desc, 0, 64),
+                                           slice(desc, 1024, 64), 4,
+                                           std::nullopt),
+                Status::Ok);
+      LocalComplete lc;
+      ASSERT_EQ(ph.wait_local(lc, kWait), Status::Ok);
+      EXPECT_EQ(lc.id, 4u);
+      ph.progress();
+      EXPECT_FALSE(ph.probe_event().has_value());  // the rejected signal
+    }
+    if (checking) {
+      EXPECT_TRUE(ck.take_violations().empty());
+    }
   });
 }
 

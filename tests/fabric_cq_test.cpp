@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fabric/completion_queue.hpp"
+#include "util/idle_wait.hpp"
 #include "util/rng.hpp"
 
 namespace photon::fabric {
@@ -75,20 +76,6 @@ TEST(CompletionQueueVt, MinVtimeReportsEarliest) {
   cq.push(mk(1, 700));
   cq.push(mk(2, 300));
   EXPECT_EQ(cq.min_vtime().value(), 300u);
-}
-
-TEST(CompletionQueueVt, WaitAnyReturnsQueuedImmediately) {
-  CompletionQueue cq(16);
-  cq.push(mk(1, 99999));
-  Completion c;
-  EXPECT_EQ(cq.wait_any(c, 1'000'000), Status::Ok);
-  EXPECT_EQ(c.wr_id, 1u);
-}
-
-TEST(CompletionQueueVt, WaitAnyTimesOutWhenEmpty) {
-  CompletionQueue cq(16);
-  Completion c;
-  EXPECT_EQ(cq.wait_any(c, 1'000'000), Status::NotFound);
 }
 
 TEST(CompletionQueueVt, OverflowDropsAndSticks) {
@@ -263,9 +250,9 @@ TEST(CompletionQueueVt, BatchReportsOverflowLatch) {
   EXPECT_EQ(n, 2u);
 }
 
-// wait_any must not miss wakeups from concurrent pushers now that push
-// skips notify_one when no waiter is registered. Run under TSan in CI.
-TEST(CompletionQueueVt, WaitAnyWithConcurrentPushers) {
+// A consumer polling poll_min must see every push of concurrent producers.
+// Run under TSan in CI.
+TEST(CompletionQueueVt, PollMinWithConcurrentPushers) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 250;
   CompletionQueue cq(kProducers * kPerProducer);
@@ -281,11 +268,18 @@ TEST(CompletionQueueVt, WaitAnyWithConcurrentPushers) {
   }
   go.store(true, std::memory_order_release);
   Completion c;
+  const auto pop = [&]() -> std::optional<Status> {
+    const Status st = cq.poll_min(c);
+    if (st == Status::NotFound) return std::nullopt;
+    return st;
+  };
   for (int i = 0; i < kProducers * kPerProducer; ++i)
-    ASSERT_EQ(cq.wait_any(c, 10'000'000'000ULL), Status::Ok) << "event " << i;
+    ASSERT_EQ(util::wait_until(10'000'000'000ULL, pop, [] { return false; }),
+              Status::Ok)
+        << "event " << i;
   for (auto& t : producers) t.join();
   EXPECT_EQ(cq.size(), 0u);
-  EXPECT_EQ(cq.wait_any(c, 1'000'000), Status::NotFound);
+  EXPECT_EQ(cq.poll_min(c), Status::NotFound);
 }
 
 // min_vtime is advisory under concurrency but must settle to the exact

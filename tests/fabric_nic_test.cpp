@@ -389,6 +389,18 @@ TEST_F(NicTest, CompletionConsumptionAdvancesVirtualClock) {
   EXPECT_EQ(f2.nic(1).clock().now(), 0u);
 }
 
+TEST_F(NicTest, WaitSendReturnsQueuedImmediately) {
+  ASSERT_EQ(a.post_put(1, lref(0, 64), rref(0), 7, true), Status::Ok);
+  Completion c;
+  ASSERT_EQ(a.wait_send(c, 1'000'000), Status::Ok);
+  EXPECT_EQ(c.wr_id, 7u);
+}
+
+TEST_F(NicTest, WaitSendTimesOutWhenEmpty) {
+  Completion c;
+  EXPECT_EQ(a.wait_send(c, 1'000'000), Status::NotFound);
+}
+
 TEST_F(NicTest, CountersTrackTraffic) {
   ASSERT_EQ(a.post_put(1, lref(0, 100), rref(0), 1, true), Status::Ok);
   ASSERT_EQ(a.post_send(1, lref(0, 50), 0, 2, true), Status::Ok);

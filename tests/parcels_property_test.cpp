@@ -111,7 +111,7 @@ TEST_P(BodySizeSweep, BodiesArriveIntact) {
         env.bootstrap.barrier(env.rank);
         eng.run_until([&] { return true; });
       } else {
-        EXPECT_TRUE(eng.run_until([&] { return eng.parcels_dispatched() >= 1; }));
+        EXPECT_TRUE(eng.run_until([&] { return eng.stats().dispatched >= 1; }));
         EXPECT_TRUE(ok.load());
         env.bootstrap.barrier(env.rank);
       }

@@ -55,7 +55,7 @@ TEST_P(TransportSweep, PingPongWithReply) {
       eng.send(1, ping, std::as_bytes(std::span(&v, 1)));
       ASSERT_TRUE(eng.run_until([&] { return pongs.load() == 1; }));
     } else {
-      ASSERT_TRUE(eng.run_until([&] { return eng.parcels_dispatched() >= 1; }));
+      ASSERT_TRUE(eng.run_until([&] { return eng.stats().dispatched >= 1; }));
     }
   });
 }
@@ -76,7 +76,7 @@ TEST_P(TransportSweep, ArgsArriveIntact) {
       eng.run_until([&] { return true; });
       env.bootstrap.barrier(env.rank);
     } else {
-      ASSERT_TRUE(eng.run_until([&] { return eng.parcels_dispatched() >= 1; }));
+      ASSERT_TRUE(eng.run_until([&] { return eng.stats().dispatched >= 1; }));
       EXPECT_TRUE(ok.load());
       env.bootstrap.barrier(env.rank);
     }
@@ -99,7 +99,7 @@ TEST_P(TransportSweep, LargeParcelBody) {
       // Drive protocol completion (FIN) while the peer pulls the body.
       eng.run_until([&] { return true; });
     } else {
-      ASSERT_TRUE(eng.run_until([&] { return eng.parcels_dispatched() >= 1; }));
+      ASSERT_TRUE(eng.run_until([&] { return eng.stats().dispatched >= 1; }));
       EXPECT_TRUE(ok.load());
       env.bootstrap.barrier(env.rank);
     }
@@ -125,7 +125,7 @@ TEST_P(TransportSweep, FanOutFanIn) {
       }
       ASSERT_TRUE(eng.run_until([&] { return acks.load() == 3; }));
     } else {
-      ASSERT_TRUE(eng.run_until([&] { return eng.parcels_dispatched() >= 1; }));
+      ASSERT_TRUE(eng.run_until([&] { return eng.stats().dispatched >= 1; }));
       EXPECT_EQ(sum.load(), env.rank * 11ull);
     }
   });
@@ -156,7 +156,7 @@ TEST_P(TransportSweep, ChainedSpawnAroundRing) {
     if (env.rank == 1) {
       ASSERT_TRUE(eng.run_until([&] { return done.load(); }));
     } else {
-      ASSERT_TRUE(eng.run_until([&] { return eng.parcels_dispatched() >= 2; }));
+      ASSERT_TRUE(eng.run_until([&] { return eng.stats().dispatched >= 2; }));
     }
   });
 }
@@ -201,7 +201,7 @@ TEST(ParcelEngine, DispatchChargesVirtualTime) {
       for (int i = 0; i < 10; ++i) eng.send(1, h, {});
     } else {
       const std::uint64_t t0 = env.clock().now();
-      ASSERT_TRUE(eng.run_until([&] { return eng.parcels_dispatched() >= 10; }));
+      ASSERT_TRUE(eng.run_until([&] { return eng.stats().dispatched >= 10; }));
       EXPECT_GE(env.clock().now() - t0, 10 * 1000u);
     }
     env.bootstrap.barrier(env.rank);

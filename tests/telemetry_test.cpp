@@ -106,10 +106,10 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableObjects) {
   a.add(3);
   EXPECT_EQ(&reg.counter("x"), &a);
   EXPECT_EQ(reg.counter("x").get(), 3u);
-  Gauge& g = reg.gauge("hw");
-  g.set(10);
-  EXPECT_EQ(&reg.gauge("hw"), &g);
-  EXPECT_EQ(reg.gauge("hw").get(), 10);
+  LatencyHistogram& h = reg.histogram("lat");
+  h.record(10);
+  EXPECT_EQ(&reg.histogram("lat"), &h);
+  EXPECT_EQ(reg.histogram("lat").count(), 1u);
 }
 
 TEST(MetricsRegistry, MergeOfDisjointRegistriesUnionsEverything) {
@@ -119,7 +119,6 @@ TEST(MetricsRegistry, MergeOfDisjointRegistriesUnionsEverything) {
   a.histogram("hist.a").record(8);
   b.counter("only.b").add(2);
   b.histogram("hist.b").record(16);
-  b.gauge("g.b").set(5);
 
   Snapshot s = a.snapshot();
   s.merge(b.snapshot());
@@ -127,23 +126,19 @@ TEST(MetricsRegistry, MergeOfDisjointRegistriesUnionsEverything) {
   EXPECT_EQ(s.counter_or("only.b", 0), 2u);
   EXPECT_EQ(s.histograms.at("hist.a").total, 1u);
   EXPECT_EQ(s.histograms.at("hist.b").total, 1u);
-  EXPECT_EQ(s.gauges.at("g.b"), 5);
 }
 
-TEST(MetricsRegistry, MergeOverlapAddsCountersMaxesGaugesMergesHists) {
+TEST(MetricsRegistry, MergeOverlapAddsCountersMergesHists) {
   MetricsRegistry a;
   MetricsRegistry b;
   a.counter("n").add(10);
   b.counter("n").add(5);
-  a.gauge("hw").set(3);
-  b.gauge("hw").set(9);
   a.histogram("h").record(4);
   b.histogram("h").record(400);
 
   Snapshot s = a.snapshot();
   s.merge(b.snapshot());
   EXPECT_EQ(s.counter_or("n", 0), 15u);
-  EXPECT_EQ(s.gauges.at("hw"), 9);
   EXPECT_EQ(s.histograms.at("h").total, 2u);
   EXPECT_EQ(s.histograms.at("h").sum, 404u);
 }
@@ -177,12 +172,10 @@ TEST(MetricsRegistry, FoldAddsNonzeroStatsUnderThePrefix) {
 TEST(MetricsRegistry, ResetZeroesEveryMetric) {
   MetricsRegistry reg;
   reg.counter("c").add(5);
-  reg.gauge("g").set(4);
   reg.histogram("h").record(9);
   reg.reset();
   const Snapshot s = reg.snapshot();
   EXPECT_EQ(s.counter_or("c", 99), 0u);
-  EXPECT_EQ(s.gauges.at("g"), 0);
   EXPECT_EQ(s.histograms.at("h").total, 0u);
 }
 

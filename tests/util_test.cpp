@@ -19,6 +19,7 @@
 #include "util/expected.hpp"
 #include "util/idle_wait.hpp"
 #include "util/json.hpp"
+#include "util/op_table.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "util/timing.hpp"
@@ -94,6 +95,24 @@ TEST(Deadline, BudgetCountsFromTheFirstCheck) {
   EXPECT_FALSE(lazy.expired());  // armed here, not at construction
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_TRUE(lazy.expired());
+}
+
+// Op ids never collide with the unsignaled wr_id 0, and a released id is
+// dead until the table hands it out again.
+TEST(OpTable, IdsSkipZeroAndReleasedIdsAreReused) {
+  util::OpTable<int> t;
+  EXPECT_EQ(t.live(0), nullptr);
+  const std::uint64_t a = t.alloc(10);
+  const std::uint64_t b = t.alloc(20);
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(b, 2u);
+  ASSERT_NE(t.live(b), nullptr);
+  EXPECT_EQ(*t.live(b), 20);
+  t.release(a);
+  EXPECT_EQ(t.live(a), nullptr);
+  EXPECT_EQ(t.live(3), nullptr);
+  EXPECT_EQ(t.alloc(30), a);
+  EXPECT_EQ(*t.live(a), 30);
 }
 
 // The idle-wait rule: yield first, jump only on the second empty step,

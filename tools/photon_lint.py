@@ -23,16 +23,22 @@ thread-safety analysis leg is unavailable):
                        reached only as `.counters_.from(rank_)` (the calling
                        rank's own slot), and no slot but `from(rank_)` is
                        written.
-  idle-wait-copy       in src/, blocking loops wait through the one idle-wait
-                       rule in util/idle_wait.hpp: a this_thread::yield,
-                       sleep_for or sleep_until anywhere else is flagged
-                       unless it carries an `idle-ok:` justification on the
-                       same line or the line above.
+  idle-wait-copy       in src/, bench/ and examples/, blocking loops wait
+                       through the one idle-wait rule in util/idle_wait.hpp:
+                       a this_thread::yield, sleep_for or sleep_until
+                       anywhere else is flagged unless it carries an
+                       `idle-ok:` justification on the same line or the line
+                       above.
   wait-loop-copy       in src/, blocking loops wait through util::wait_until:
                        a call to idle_step( or idle_backoff( outside
                        util/idle_wait.hpp is flagged unless it carries an
                        `idle-ok:` justification on the same line or the line
                        above.
+  post-protocol-copy   in src/ outside src/check/, every post runs the
+                       checker's three-phase protocol through
+                       check::PostGuard: a begin_op(, commit( or abort_post(
+                       call on the checker is flagged unless it carries a
+                       `check-ok:` reason on the same line or the line above.
   test-only-module     every src/**/*.hpp is included by some file under
                        src/, bench/, examples/ or perfbench/ other than its
                        own .cpp; a header only tests reach is flagged unless
@@ -146,6 +152,16 @@ OTHER_SLOT_RE = re.compile(r"\bcounters_\s*\.\s*from\(\s*(?!rank_\s*\))")
 IDLE_WAIT_RE = re.compile(r"\bthis_thread::yield\b|\bsleep_for\b|\bsleep_until\b")
 IDLE_OK_RE = re.compile(r"idle-ok:")
 WAIT_LOOP_RE = re.compile(r"\b(?:idle_step|idle_backoff)\s*\(")
+# Trees whose yields and sleeps idle-wait-copy covers besides src/.
+IDLE_WAIT_DIRS = ("src/", "bench/", "examples/")
+
+# A three-phase post call on the checker (`nic_.checker().commit(`,
+# `checker_->begin_op(`, ...), allowed only in src/check/ (check::PostGuard).
+CHECK_DIR = "src/check/"
+POST_PROTOCOL_RE = re.compile(
+    r"\bchecker_?\s*(?:\(\s*\))?\s*(?:\.|->)\s*(?:begin_op|commit|abort_post)\s*\("
+)
+CHECK_OK_RE = re.compile(r"check-ok:")
 
 # Trees whose includes make a src/ header part of the program (tests/ does
 # not count: a module only tests include is dead weight in src/).
@@ -162,6 +178,7 @@ ALL_RULES = (
     "foreign-nic-state",
     "idle-wait-copy",
     "wait-loop-copy",
+    "post-protocol-copy",
     "test-only-module",
     "test-only-symbol",
 )
@@ -281,7 +298,7 @@ def lint_file(relpath: str, text: str, rules, allow):
 
         if (
             "idle-wait-copy" in rules
-            and relpath.startswith("src/")
+            and relpath.startswith(IDLE_WAIT_DIRS)
             and relpath != IDLE_WAIT_FILE
             and IDLE_WAIT_RE.search(code)
             and not any(IDLE_OK_RE.search(l) for l in lines[max(0, i - 2) : i])
@@ -305,6 +322,20 @@ def lint_file(relpath: str, text: str, rules, allow):
                 i,
                 "hand-written wait loop around idle_step/idle_backoff; wait "
                 "through util::wait_until (or annotate `idle-ok:` with a reason)",
+            )
+
+        if (
+            "post-protocol-copy" in rules
+            and relpath.startswith("src/")
+            and not relpath.startswith(CHECK_DIR)
+            and POST_PROTOCOL_RE.search(code)
+            and not any(CHECK_OK_RE.search(l) for l in lines[max(0, i - 2) : i])
+        ):
+            emit(
+                "post-protocol-copy",
+                i,
+                "checker begin_op/commit/abort_post outside check::PostGuard; "
+                "post through the guard (or annotate `check-ok:` with a reason)",
             )
 
     return findings
@@ -581,10 +612,18 @@ def main(argv):
 
     findings = []
     for path in sorted(src.rglob("*")):
-        if path.suffix not in (".hpp", ".cpp", ".h", ".cc"):
+        if path.suffix not in SOURCE_SUFFIXES:
             continue
         relpath = path.relative_to(root).as_posix()
         findings.extend(lint_file(relpath, path.read_text(), rules, allow))
+    # bench/ and examples/ answer only to the idle-wait rule.
+    for tree in ("bench", "examples"):
+        for path in sorted((root / tree).rglob("*")):
+            if path.suffix not in SOURCE_SUFFIXES:
+                continue
+            relpath = path.relative_to(root).as_posix()
+            findings.extend(lint_file(relpath, path.read_text(),
+                                      rules & {"idle-wait-copy"}, allow))
     if "test-only-module" in rules:
         findings.extend(lint_test_only_modules(root, allow))
     if "test-only-symbol" in rules:

@@ -16,7 +16,8 @@ build="${1:-$repo/build-lint}"
 # Project-invariant linter (pure Python, runs everywhere): relaxed-atomic
 # justifications, wrap-safe vtime comparisons, no blocking calls in lock-free
 # files, ledger meta bits only via accessors, yields and sleeps only through
-# util/idle_wait.hpp, no src/ header that only tests include. See
+# util/idle_wait.hpp, checker post calls only through check::PostGuard, no
+# src/ header that only tests include. See
 # tools/photon_lint.py.
 echo "== lint: photon_lint =="
 python3 "$repo/tools/photon_lint.py" --root "$repo" \

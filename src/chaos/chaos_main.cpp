@@ -91,18 +91,21 @@ void report_failure(const Options& opt, const chaos::Schedule& s,
 
 int run_campaign(const Options& opt) {
   std::uint64_t total_faults = 0;
+  std::uint64_t total_stalls = 0;
   for (std::uint32_t si = 0; si < opt.seeds; ++si) {
     const std::uint64_t seed = opt.seed_base + si;
     for (std::uint32_t idx = 0; idx < opt.schedules; ++idx) {
       const auto s = chaos::generate_schedule(seed, idx, opt.campaign);
       const auto r = chaos::run_schedule(s);
-      total_faults += r.fired.total();
+      total_faults += r.fired.decisions();
+      total_stalls += r.fired.link_down_stalls;
       if (!opt.quiet)
         std::fprintf(stderr,
                      "photon_chaos: seed=%" PRIu64
-                     " index=%u nranks=%u events=%zu faults=%" PRIu64 " %s\n",
-                     seed, idx, s.nranks, s.events.size(), r.fired.total(),
-                     r.ok() ? "ok" : "VIOLATION");
+                     " index=%u nranks=%u events=%zu faults=%" PRIu64
+                     " link_down_stalls=%" PRIu64 " %s\n",
+                     seed, idx, s.nranks, s.events.size(), r.fired.decisions(),
+                     r.fired.link_down_stalls, r.ok() ? "ok" : "VIOLATION");
       if (!r.ok()) {
         report_failure(opt, s, r);
         return 1;
@@ -111,8 +114,8 @@ int run_campaign(const Options& opt) {
   }
   std::fprintf(stderr,
                "photon_chaos: %u seeds x %u schedules green, %" PRIu64
-               " faults injected\n",
-               opt.seeds, opt.schedules, total_faults);
+               " faults injected, %" PRIu64 " link-down stalls\n",
+               opt.seeds, opt.schedules, total_faults, total_stalls);
   return 0;
 }
 
@@ -127,8 +130,11 @@ int run_one(const Options& opt) {
     std::fprintf(stderr, "  phase %u: %s actor=%u peer=%u nth=%u\n", e.phase,
                  chaos::event_kind_name(e.kind), e.actor, e.peer, e.nth);
   const auto r = chaos::run_schedule(s);
-  std::fprintf(stderr, "photon_chaos: %s (faults=%" PRIu64 ")\n",
-               r.ok() ? "ok" : "VIOLATION", r.fired.total());
+  std::fprintf(stderr,
+               "photon_chaos: %s (faults=%" PRIu64 " link_down_stalls=%" PRIu64
+               ")\n",
+               r.ok() ? "ok" : "VIOLATION", r.fired.decisions(),
+               r.fired.link_down_stalls);
   if (!r.ok()) {
     report_failure(opt, s, r);
     return 1;

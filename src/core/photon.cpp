@@ -925,6 +925,7 @@ bool Photon::progress_jump() {
   flush_deferred();
   const auto smin = nic_.send_cq().min_vtime();
   const auto rmin = nic_.recv_cq().min_vtime();
+  if (!smin && !rmin) return false;
   fabric::Completion c;
   if (rmin && (!smin || *rmin <= *smin)) {
     if (nic_.jump_recv(c) == Status::Ok) {

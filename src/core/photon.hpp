@@ -235,7 +235,8 @@ class Photon {
   /// better to do (wait loops call it automatically).
   bool progress_jump();
   /// Bounded idle wait: util::wait_until over progress_jump (poll, yield
-  /// once, then jump to the earliest pending virtual event, then back off).
+  /// once if rank threads share a CPU, then jump to the earliest pending
+  /// virtual event, then back off).
   /// Used by all blocking loops; public so layered waits (collectives,
   /// runtimes) share the discipline.
   template <typename Poll>

@@ -96,10 +96,13 @@ class FaultInjector {
     std::uint64_t corruptions = 0;
     std::uint64_t delays = 0;
     std::uint64_t link_down_stalls = 0;  ///< link-window queries seen down
-    std::uint64_t total() const {
-      return post_failures + drops + ack_drops + corruptions + delays +
-             link_down_stalls;
+    /// Decision-plane faults: a function of the seed and the schedule.
+    /// link_down_stalls counts queries, a number that follows thread
+    /// scheduling (see FiredEvent).
+    std::uint64_t decisions() const {
+      return post_failures + drops + ack_drops + corruptions + delays;
     }
+    std::uint64_t total() const { return decisions() + link_down_stalls; }
   };
 
   /// One fired fault decision, recorded when the event log is enabled.

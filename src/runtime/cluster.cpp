@@ -1,10 +1,25 @@
 #include "runtime/cluster.hpp"
 
+#include <sched.h>
+
 #include <exception>
 #include <thread>
 #include <vector>
 
+#include "util/idle_wait.hpp"
+
 namespace photon::runtime {
+
+namespace {
+/// True when the calling thread's affinity mask holds fewer CPUs than
+/// `nranks` (or cannot be read): rank threads it starts may share a CPU.
+bool ranks_share_cpus(std::uint32_t nranks) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return true;
+  return static_cast<std::uint32_t>(CPU_COUNT(&set)) < nranks;
+}
+}  // namespace
 
 Cluster::Cluster(const fabric::FabricConfig& cfg)
     : fabric_(cfg), bootstrap_(cfg.nranks) {
@@ -19,12 +34,14 @@ void Cluster::set_watchdog(const WatchdogConfig& cfg) {
 void Cluster::run(const std::function<void(Env&)>& body) {
   const std::uint32_t n = fabric_.size();
   Watchdog* wd = watchdog();
+  const bool shared = ranks_share_cpus(n);
   if (wd != nullptr) wd->start(fabric_);
   std::vector<std::exception_ptr> errors(n);
   std::vector<std::thread> threads;
   threads.reserve(n);
   for (std::uint32_t r = 0; r < n; ++r) {
     threads.emplace_back([&, r] {
+      util::t_cpu_shared = shared;
       Env env{r, n, fabric_.nic(r), bootstrap_, *this, wd};
       try {
         body(env);

@@ -61,7 +61,9 @@ class Cluster {
 
   /// SPMD section: body(env) runs once per rank, concurrently. When a
   /// watchdog is attached its monitor thread runs for the duration of the
-  /// section and stops before run() returns.
+  /// section and stops before run() returns. Each rank thread sets
+  /// util::t_cpu_shared, which is false when the calling thread's affinity
+  /// mask holds a CPU for every rank.
   void run(const std::function<void(Env&)>& body);
 
   /// Reset all virtual clocks and wire-resource timestamps (between

@@ -17,6 +17,10 @@
 
 namespace photon::util {
 
+/// Whether the calling thread may share its CPU with another rank thread.
+/// True unless Cluster::run found a CPU for each of its rank threads.
+inline thread_local bool t_cpu_shared = true;
+
 /// Back-off tail: yield for the first 63 calls, then sleep 100 µs per call.
 /// Counts `spins` up; the caller resets it to 0 when the loop makes progress.
 inline void idle_backoff(std::uint32_t& spins) {
@@ -29,13 +33,14 @@ inline void idle_backoff(std::uint32_t& spins) {
 
 /// One idle step: yield once, then `jump()` to the earliest pending virtual
 /// event (resetting `spins` when it consumed one), then back off. The first
-/// yield matters on an oversubscribed host: a lagging peer may be about to
-/// publish an *earlier* arrival, and jumping too eagerly would push this
-/// rank's virtual clock past it. A `jump` that never succeeds leaves the
-/// plain back-off sequence.
+/// yield matters only when rank threads share a CPU: a lagging peer may be
+/// about to publish an *earlier* arrival, and jumping too eagerly would push
+/// this rank's virtual clock past it. On a dedicated CPU that peer runs
+/// anyway, so the step jumps at once. A `jump` that never succeeds leaves
+/// the plain back-off sequence, with the same spin count either way.
 template <typename Jump>
 void idle_step(std::uint32_t& spins, Jump&& jump) {
-  if (spins == 0) {
+  if (spins == 0 && t_cpu_shared) {
     ++spins;
     std::this_thread::yield();
     return;

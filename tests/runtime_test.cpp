@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "runtime/cluster.hpp"
 #include "test_helpers.hpp"
+#include "util/idle_wait.hpp"
 
 namespace photon::runtime {
 namespace {
@@ -103,6 +107,48 @@ TEST(Cluster, ResetVirtualTimeZeroesClocks) {
   cluster.reset_virtual_time();
   EXPECT_EQ(cluster.fabric().nic(0).clock().now(), 0u);
   EXPECT_EQ(cluster.fabric().nic(1).clock().now(), 0u);
+}
+
+// Cluster::run marks its rank threads shared or dedicated from the calling
+// thread's affinity mask; each rank reports the verdict it runs under.
+std::array<bool, 2> rank_verdicts(Cluster& cluster) {
+  std::array<bool, 2> shared{};
+  cluster.run([&](Env& env) { shared[env.rank] = util::t_cpu_shared; });
+  return shared;
+}
+
+TEST(Cluster, RanksStartedFromOneCpuShareIt) {
+  EXPECT_TRUE(util::t_cpu_shared);  // the gtest main thread's default
+  Cluster cluster(quiet_fabric(2));
+  std::array<bool, 2> shared{};
+  bool pinned = false;
+  std::thread helper([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &set)) ++cpu;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    pinned = sched_setaffinity(0, sizeof set, &set) == 0;
+    if (pinned) shared = rank_verdicts(cluster);
+  });
+  helper.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_TRUE(shared[0]);
+  EXPECT_TRUE(shared[1]);
+}
+
+TEST(Cluster, RanksStartedFromEnoughCpusGetOneEach) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  if (CPU_COUNT(&set) < 2) GTEST_SKIP() << "fewer than 2 CPUs allowed";
+  Cluster cluster(quiet_fabric(2));
+  const std::array<bool, 2> shared = rank_verdicts(cluster);
+  EXPECT_FALSE(shared[0]);
+  EXPECT_FALSE(shared[1]);
+  EXPECT_TRUE(util::t_cpu_shared);  // the caller's own verdict is untouched
 }
 
 TEST(Cluster, CrossRankRdmaInsideRun) {

@@ -115,8 +115,10 @@ TEST(OpTable, IdsSkipZeroAndReleasedIdsAreReused) {
   EXPECT_EQ(*t.live(a), 30);
 }
 
-// The idle-wait rule: yield first, jump only on the second empty step,
-// start over after a successful jump, back off otherwise.
+// The idle-wait rule: on a thread that may share its CPU (the default for
+// any thread Cluster::run did not start), yield first, jump only on the
+// second empty step, start over after a successful jump, back off
+// otherwise. A thread marked dedicated jumps on the first step.
 TEST(IdleWait, FirstStepYieldsWithoutJumping) {
   int jumps = 0;
   auto jump = [&] { ++jumps; return false; };
@@ -140,6 +142,55 @@ TEST(IdleWait, SuccessfulJumpStartsOver) {
   util::idle_step(spins, jump);  // yields again before the next jump
   EXPECT_EQ(jumps, 1);
   EXPECT_EQ(spins, 1u);
+}
+
+/// Marks the calling thread shared or dedicated for one scope, then
+/// restores the previous verdict.
+class CpuSharedScope {
+ public:
+  explicit CpuSharedScope(bool shared) : saved_(util::t_cpu_shared) {
+    util::t_cpu_shared = shared;
+  }
+  ~CpuSharedScope() { util::t_cpu_shared = saved_; }
+  CpuSharedScope(const CpuSharedScope&) = delete;
+  CpuSharedScope& operator=(const CpuSharedScope&) = delete;
+
+ private:
+  bool saved_;
+};
+
+TEST(IdleWait, DedicatedThreadJumpsOnTheFirstStep) {
+  const CpuSharedScope dedicated(false);
+  int jumps = 0;
+  auto jump = [&] { ++jumps; return true; };
+  std::uint32_t spins = 0;
+  util::idle_step(spins, jump);
+  EXPECT_EQ(jumps, 1);
+  EXPECT_EQ(spins, 0u);
+}
+
+TEST(IdleWait, SharedThreadDoesNotJumpOnTheFirstStep) {
+  const CpuSharedScope shared(true);
+  int jumps = 0;
+  auto jump = [&] { ++jumps; return true; };
+  std::uint32_t spins = 0;
+  util::idle_step(spins, jump);
+  EXPECT_EQ(jumps, 0);
+  EXPECT_EQ(spins, 1u);
+}
+
+// A jump that never succeeds reaches the sleep threshold after the same
+// number of steps whether or not the first step yielded.
+TEST(IdleWait, FailingJumpBacksOffAlikeOnSharedAndDedicatedThreads) {
+  auto spins_after_64_steps = [](bool shared) {
+    const CpuSharedScope scope(shared);
+    std::uint32_t spins = 0;
+    for (int i = 0; i < 64; ++i) util::idle_step(spins, [] { return false; });
+    return spins;
+  };
+  const std::uint32_t shared = spins_after_64_steps(true);
+  EXPECT_EQ(shared, 64u);
+  EXPECT_EQ(spins_after_64_steps(false), shared);
 }
 
 TEST(IdleWait, BackoffCountsThroughTheSleepThreshold) {
